@@ -7,7 +7,7 @@ from ratsurf import (
     hirzebruch,
     projective_plane,
     pushforward_decomposition,
-    series_closed_form,
+    series_numerator,
     theta_context,
     z_from_decomposition,
     z_series,
@@ -20,10 +20,10 @@ p2 = projective_plane()
 ctx = theta_context(p2, divisor(2))
 print(f"conics in the plane (branch {ctx.branch.value}, l = {ctx.l})")
 for r in (1, 4):
-    closed = series_closed_form(ctx, r)
+    numerator = series_numerator(ctx.branch, r)
     coeffs = z_series(ctx, r, 6).coeffs
     print(
-        f"  r={r}: ({format_polynomial(closed.numerator)}) / (1-t)^{closed.denominator_power}"
+        f"  r={r}: ({format_polynomial(numerator)}) / (1-t)^{ctx.l + 1}"
         f" = {list(coeffs)} ..."
     )
 
@@ -31,9 +31,9 @@ for r in (1, 4):
 ctx = theta_context(p2, divisor(3))
 print(f"\ncubics in the plane (branch {ctx.branch.value}, l = {ctx.l})")
 for r in (1, 2, 3, 4):
-    closed = series_closed_form(ctx, r)
+    numerator = series_numerator(ctx.branch, r)
     gb = pushforward_decomposition(ctx, r)
-    print(f"  r={r}: numerator {format_polynomial(closed.numerator):22s} splitting {gb.describe()}")
+    print(f"  r={r}: numerator {format_polynomial(numerator):22s} splitting {gb.describe()}")
 
 # The two evaluation routes must agree coefficient by coefficient.
 series_a = z_series(ctx, 4, 30)
@@ -45,10 +45,10 @@ print("  closed form and summand-by-summand expansion agree through t^30")
 for e in (0, 1):
     surface = hirzebruch(e)
     ctx = theta_context(surface, divisor(2, e + 3))
-    closed = series_closed_form(ctx, 3)
+    numerator = series_numerator(ctx.branch, 3)
     print(
         f"\n{surface.name}, class 2G+{e + 3}F (branch {ctx.branch.value}, l = {ctx.l})"
-        f"\n  r=3: ({format_polynomial(closed.numerator)}) / (1-t)^{closed.denominator_power}"
+        f"\n  r=3: ({format_polynomial(numerator)}) / (1-t)^{ctx.l + 1}"
     )
     print(f"  first coefficients: {list(z_series(ctx, 3, 5).coeffs)}")
     print(f"  rank of the splitting: {pushforward_decomposition(ctx, 3).rank} = 3^2")

@@ -1,165 +1,13 @@
 """Exact intersection theory, line-bundle cohomology, and section-count
 generating series on rational surfaces (the plane, Hirzebruch surfaces, and
-their one-point blowups), over arbitrary-precision integers."""
+their one-point blowups), over arbitrary-precision integers.
 
-from .cohom import (
-    CohomologyTable,
-    ProjectiveSpaceCohomology,
-    cohomology_hirzebruch,
-    cohomology_p2,
-    cohomology_projective_space,
-    cohomology_table,
-    h0_blowup,
-    h0_class,
-    linear_system_dim,
-)
-from .conditions import (
-    Branch,
-    ConditionReport,
-    Decomposition,
-    DECOMPOSITION_CAP,
-    check_a1,
-    check_a2,
-    check_a3,
-    classify_branch,
-    default_very_ample,
-    enumerate_decompositions,
-    enumerate_effective_below,
-    is_effective,
-    is_very_ample,
-)
-from .errors import (
-    ClassParseError,
-    EnumerationCapError,
-    RatsurfError,
-    ScopeError,
-    UnsupportedBranchError,
-)
-from .picard import (
-    DivisorClass,
-    SheafClass,
-    Surface,
-    SurfaceKind,
-    arithmetic_genus,
-    blowup_hirzebruch,
-    canonical_class,
-    divisor,
-    euler_char,
-    euler_pairing,
-    format_divisor,
-    hirzebruch,
-    intersect,
-    moduli_dimension,
-    parse_divisor,
-    projective_plane,
-    surface_from_name,
-    zero_class,
-)
-from .powerseries import (
-    Polynomial,
-    SeriesCoefficients,
-    binom,
-    binom_polynomial,
-    expand_rational_gf,
-    format_polynomial,
-    gf_coefficient,
-    poly_mul,
-    polynomial,
-)
-from .theta import (
-    ClosedForm,
-    Genus2CohomologyCheck,
-    GradedBundle,
-    ThetaContext,
-    dualizing_twist,
-    euler_char_lambda,
-    h0_lambda,
-    higher_cohomology_vanishes,
-    pushforward_decomposition,
-    rank,
-    recursion_check_g2,
-    series_closed_form,
-    series_numerator,
-    theta_context,
-    theta_restriction_twist,
-    verify_genus2_cohomology,
-    z_from_decomposition,
-    z_series,
-)
+The package namespace is the union of the submodules' public names."""
+
+from . import cohom, conditions, errors, picard, powerseries, theta
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "ClassParseError",
-    "ClosedForm",
-    "CohomologyTable",
-    "ConditionReport",
-    "DECOMPOSITION_CAP",
-    "Decomposition",
-    "DivisorClass",
-    "EnumerationCapError",
-    "Genus2CohomologyCheck",
-    "GradedBundle",
-    "Polynomial",
-    "ProjectiveSpaceCohomology",
-    "RatsurfError",
-    "ScopeError",
-    "SeriesCoefficients",
-    "SheafClass",
-    "Surface",
-    "SurfaceKind",
-    "ThetaContext",
-    "UnsupportedBranchError",
-    "arithmetic_genus",
-    "binom",
-    "binom_polynomial",
-    "blowup_hirzebruch",
-    "canonical_class",
-    "check_a1",
-    "check_a2",
-    "check_a3",
-    "classify_branch",
-    "cohomology_hirzebruch",
-    "cohomology_p2",
-    "cohomology_projective_space",
-    "cohomology_table",
-    "default_very_ample",
-    "divisor",
-    "dualizing_twist",
-    "enumerate_decompositions",
-    "enumerate_effective_below",
-    "euler_char",
-    "euler_char_lambda",
-    "euler_pairing",
-    "expand_rational_gf",
-    "format_divisor",
-    "format_polynomial",
-    "gf_coefficient",
-    "h0_blowup",
-    "h0_class",
-    "h0_lambda",
-    "higher_cohomology_vanishes",
-    "hirzebruch",
-    "intersect",
-    "is_effective",
-    "is_very_ample",
-    "linear_system_dim",
-    "moduli_dimension",
-    "parse_divisor",
-    "poly_mul",
-    "polynomial",
-    "projective_plane",
-    "pushforward_decomposition",
-    "rank",
-    "recursion_check_g2",
-    "series_closed_form",
-    "series_numerator",
-    "surface_from_name",
-    "theta_context",
-    "theta_restriction_twist",
-    "verify_genus2_cohomology",
-    "z_from_decomposition",
-    "z_series",
-    "zero_class",
-]
+_MODULES = (picard, cohom, conditions, powerseries, theta, errors)
+globals().update((name, getattr(m, name)) for m in _MODULES for name in m.__all__)
+__all__ = sorted(name for m in _MODULES for name in m.__all__)

@@ -3,6 +3,7 @@
 Subcommands: genus, cohom, conditions, zseries, report.  All share the
 surface/class parser (surfaces: p2, f<e>, f<e>b; classes: dH, aG+bF,
 aG+bF-cE).  Output formats: text (default), json, csv (series table only).
+`zseries` is `report --checks zseries`: the same code path and output.
 
 Exit codes: 0 all requested checks pass, 1 a requested check failed, 2 parse
 or configuration error, 3 unsupported branch or out-of-scope input, 4
@@ -13,9 +14,11 @@ through the RATSURF_MAX_TRUNC environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .cohom import cohomology_table, h0_class
 from .conditions import (
@@ -42,18 +45,17 @@ from .picard import (
     parse_divisor,
     surface_from_name,
 )
-from .powerseries import format_polynomial
+from .powerseries import Polynomial, expand_rational_gf, format_polynomial
 from .theta import (
     ThetaContext,
-    euler_char_lambda,
-    h0_lambda,
+    ThetaSplitting,
+    dualizing_twist,
     pushforward_decomposition,
     recursion_check_g2,
-    series_closed_form,
     theta_context,
+    theta_splitting,
     verify_genus2_cohomology,
     z_from_decomposition,
-    z_series,
 )
 
 DEFAULT_TRUNC_CAP = 200
@@ -74,18 +76,6 @@ def _trunc_cap() -> int:
     if cap < 0:
         raise ClassParseError(f"RATSURF_MAX_TRUNC must be >= 0, got {cap}")
     return cap
-
-
-def _provenance(ctx: ThetaContext, r: int) -> str:
-    if r == 1 and ctx.branch not in (Branch.GENUS_NONPOSITIVE,):
-        return "rank-one pushforward: structure sheaf of the linear system"
-    if ctx.branch is Branch.GENUS_NONPOSITIVE:
-        return "trivial pushforward: the moduli space is the linear system"
-    if ctx.branch is Branch.GENUS_ONE:
-        return "genus-1 splitting: twists 0, -2 .. -r"
-    if ctx.branch is Branch.GENUS_TWO:
-        return "genus-2 splitting: 1 + 3t^2 block plus recursive twist blocks"
-    return "unsupported branch"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_z, fmt_choices=("text", "json", "csv"))
     p_z.add_argument("--r", type=int, default=1, help="theta power (default 1)")
     p_z.add_argument("--trunc", type=int, default=10, help="truncation order (default 10)")
+    p_z.set_defaults(checks="zseries", ample=None)
 
     p_rep = sub.add_parser("report", help="full verification report")
     add_common(p_rep, fmt_choices=("text", "json", "csv"))
@@ -249,6 +240,15 @@ def _witness_text(surface: Surface, witness) -> str | None:
     return str(witness)
 
 
+def _print_details(details) -> None:
+    shown = details[:_DETAIL_DISPLAY_LIMIT]
+    for line in shown:
+        print(f"    {line}")
+    hidden = len(details) - len(shown)
+    if hidden > 0:
+        print(f"    ... ({hidden} more lines)")
+
+
 def _cmd_conditions(args) -> int:
     surface, divisor = _parse_context(args)
     reports, ample = _condition_reports(surface, divisor, args.ample)
@@ -276,12 +276,7 @@ def _cmd_conditions(args) -> int:
         print(f"ample     {format_divisor(surface, ample)}")
         for rep in reports:
             print(f"condition {rep.condition}: {'PASS' if rep.passed else 'FAIL'}")
-            shown = rep.details[:_DETAIL_DISPLAY_LIMIT]
-            for line in shown:
-                print(f"    {line}")
-            hidden = len(rep.details) - len(shown)
-            if hidden > 0:
-                print(f"    ... ({hidden} more lines)")
+            _print_details(rep.details)
             if not rep.passed:
                 print(f"    witness: {_witness_text(surface, rep.witness)}")
     return 0 if all_pass else 1
@@ -299,13 +294,35 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     return names
 
 
+class _Series(NamedTuple):
+    """Everything a report shows of Z^r(t), each part built once."""
+
+    split: ThetaSplitting
+    numerator: Polynomial
+    h0: tuple[int, ...]  # n = 0..trunc, from the numerator
+    chi: tuple[int, ...]  # n = 0..trunc, from the splitting
+
+
+def _series(ctx: ThetaContext, r: int, trunc: int) -> _Series:
+    split = theta_splitting(ctx.branch, r)
+    numerator = split.bundle.numerator()
+    return _Series(
+        split,
+        numerator,
+        expand_rational_gf(numerator, ctx.l, trunc).coeffs,
+        tuple(split.bundle.euler_char(ctx.l, n) for n in range(trunc + 1)),
+    )
+
+
 def _run_checks(
     ctx: ThetaContext,
     r: int,
     trunc: int,
     checks: tuple[str, ...],
     ample_text: str | None,
+    series: Callable[[], _Series],
 ):
+    """Run the checks in order; `series()` returns the run's one `_Series`."""
     surface = ctx.surface
     entries: list[dict] = []
     condition_details: list[tuple[str, tuple[str, ...]]] = []
@@ -320,8 +337,8 @@ def _run_checks(
                 add(rep.condition, rep.passed, _witness_text(surface, rep.witness))
                 condition_details.append((rep.condition, rep.details))
         elif check == "zseries":
-            closed = z_series(ctx, r, trunc)
-            summed = z_from_decomposition(pushforward_decomposition(ctx, r), ctx.l, trunc)
+            closed = series().h0
+            summed = z_from_decomposition(series().split.bundle, ctx.l, trunc)
             mismatch = next(
                 (n for n in range(trunc + 1) if closed[n] != summed[n]), None
             )
@@ -333,15 +350,15 @@ def _run_checks(
                 else f"n={mismatch}: closed form {closed[mismatch]} != summand count {summed[mismatch]}",
             )
         elif check == "invariants":
-            gb = pushforward_decomposition(ctx, r)
-            expected = r ** ctx.genus if ctx.branch in (Branch.GENUS_ONE, Branch.GENUS_TWO) else 1
+            z = series()
+            gb, expected = z.split.bundle, z.split.expected_rank
             add(
                 "rank",
                 gb.rank == expected,
                 None if gb.rank == expected else f"rank {gb.rank} != {expected}",
             )
             if ctx.branch is Branch.GENUS_ONE:
-                stepped = pushforward_decomposition(ctx, r).union([(-(r + 1), 1)])
+                stepped = gb.union(z.split.increment)
                 grown = pushforward_decomposition(ctx, r + 1)
                 add(
                     "sequence-additivity",
@@ -351,30 +368,17 @@ def _run_checks(
             if ctx.branch is Branch.GENUS_TWO:
                 bad = next((s for s in range(2, max(2, r) + 1) if not recursion_check_g2(s)), None)
                 add("recursion", bad is None, None if bad is None else f"fails at power {bad}")
-            bad_n = next(
-                (
-                    n
-                    for n in range(trunc + 1)
-                    if euler_char_lambda(ctx, r, n) != h0_lambda(ctx, r, n)
-                ),
-                None,
-            )
+            bad_n = next((n for n in range(trunc + 1) if z.chi[n] != z.h0[n]), None)
             add(
                 "no-higher-cohomology",
                 bad_n is None,
-                None
-                if bad_n is None
-                else (
-                    f"n={bad_n}: chi {euler_char_lambda(ctx, r, bad_n)} != "
-                    f"h0 {h0_lambda(ctx, r, bad_n)}"
-                ),
+                None if bad_n is None else f"n={bad_n}: chi {z.chi[bad_n]} != h0 {z.h0[bad_n]}",
             )
-            series = z_series(ctx, r, trunc)
-            neg = next((n for n in range(trunc + 1) if series[n] < 0), None)
+            neg = next((n for n in range(trunc + 1) if z.h0[n] < 0), None)
             add(
                 "nonnegative-coefficients",
                 neg is None,
-                None if neg is None else f"coefficient of t^{neg} is {series[neg]}",
+                None if neg is None else f"coefficient of t^{neg} is {z.h0[neg]}",
             )
         elif check == "g2cohom":
             if ctx.branch is not Branch.GENUS_TWO:
@@ -395,7 +399,7 @@ def _run_checks(
                 else f"fails at power {bad}",
             )
         elif check == "dualizing":
-            twist = intersect(surface, ctx.L, canonical_class(surface))
+            twist = dualizing_twist(surface, ctx.L)
             add(
                 "dualizing-twist",
                 True,
@@ -404,11 +408,7 @@ def _run_checks(
     return entries, condition_details
 
 
-def _report_payload(ctx: ThetaContext, r: int, trunc: int, entries) -> dict:
-    series = [
-        {"n": n, "h0": h0_lambda(ctx, r, n), "chi": euler_char_lambda(ctx, r, n)}
-        for n in range(trunc + 1)
-    ]
+def _report_payload(ctx: ThetaContext, r: int, trunc: int, series: _Series, entries) -> dict:
     return {
         "context": {
             "surface": ctx.surface.name,
@@ -419,21 +419,22 @@ def _report_payload(ctx: ThetaContext, r: int, trunc: int, entries) -> dict:
             "dim_linear_system": ctx.l,
         },
         "branch": ctx.branch.value,
-        "series": series,
+        "series": [
+            {"n": n, "h0": series.h0[n], "chi": series.chi[n]} for n in range(trunc + 1)
+        ],
         "checks": entries,
     }
 
 
-def _print_text_report(ctx: ThetaContext, r: int, payload: dict, condition_details) -> None:
-    closed = series_closed_form(ctx, r)
+def _print_text_report(ctx: ThetaContext, series: _Series, payload: dict, details) -> None:
     print(f"surface    {ctx.surface.name} ({ctx.surface.description})")
     print(f"class      {payload['context']['class']}")
     print(f"branch     {payload['branch']}")
     print(f"genus      {ctx.genus}")
     print(f"dim |L|    {ctx.l}")
     print(
-        f"Z(t) = ({format_polynomial(closed.numerator)}) / (1 - t)^{closed.denominator_power}"
-        f"    [{_provenance(ctx, r)}]"
+        f"Z(t) = ({format_polynomial(series.numerator)}) / (1 - t)^{ctx.l + 1}"
+        f"    [{series.split.provenance}]"
     )
     print("   n         h0        chi")
     for row in payload["series"]:
@@ -445,14 +446,9 @@ def _print_text_report(ctx: ThetaContext, r: int, payload: dict, condition_detai
             if entry["witness"]:
                 line += f" ({entry['witness']})"
             print(line)
-    for name, details in condition_details:
+    for name, lines in details:
         print(f"details {name}")
-        shown = details[:_DETAIL_DISPLAY_LIMIT]
-        for line in shown:
-            print(f"    {line}")
-        hidden = len(details) - len(shown)
-        if hidden > 0:
-            print(f"    ... ({hidden} more lines)")
+        _print_details(lines)
 
 
 def _print_csv_series(payload: dict) -> None:
@@ -461,36 +457,22 @@ def _print_csv_series(payload: dict) -> None:
         print(f"{row['n']},{row['h0']},{row['chi']}")
 
 
-def _cmd_zseries(args) -> int:
-    surface, divisor = _parse_context(args)
-    r = _validate_r(args.r)
-    trunc = _validate_trunc(args.trunc)
-    ctx = theta_context(surface, divisor)
-    entries, details = _run_checks(ctx, r, trunc, ("zseries",), None)
-    payload = _report_payload(ctx, r, trunc, entries)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _print_csv_series(payload)
-    else:
-        _print_text_report(ctx, r, payload, details)
-    return 0 if all(entry["pass"] for entry in entries) else 1
-
-
 def _cmd_report(args) -> int:
     surface, divisor = _parse_context(args)
     r = _validate_r(args.r)
     trunc = _validate_trunc(args.trunc)
     checks = _parse_checks(args.checks)
     ctx = theta_context(surface, divisor)
-    entries, details = _run_checks(ctx, r, trunc, checks, args.ample)
-    payload = _report_payload(ctx, r, trunc, entries)
+    # built on first use, so checks that do not need the series keep their order of errors
+    series = functools.cache(lambda: _series(ctx, r, trunc))
+    entries, details = _run_checks(ctx, r, trunc, checks, args.ample, series)
+    payload = _report_payload(ctx, r, trunc, series(), entries)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         _print_csv_series(payload)
     else:
-        _print_text_report(ctx, r, payload, details)
+        _print_text_report(ctx, series(), payload, details)
     return 0 if all(entry["pass"] for entry in entries) else 1
 
 
@@ -498,7 +480,7 @@ _DISPATCH = {
     "genus": _cmd_genus,
     "cohom": _cmd_cohom,
     "conditions": _cmd_conditions,
-    "zseries": _cmd_zseries,
+    "zseries": _cmd_report,
     "report": _cmd_report,
 }
 

@@ -1,5 +1,13 @@
 """Exception hierarchy shared across the library and the CLI exit codes."""
 
+__all__ = [
+    "RatsurfError",
+    "ClassParseError",
+    "UnsupportedBranchError",
+    "ScopeError",
+    "EnumerationCapError",
+]
+
 
 class RatsurfError(Exception):
     """Base class for library-specific failures."""

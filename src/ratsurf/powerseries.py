@@ -19,7 +19,6 @@ __all__ = [
     "SeriesCoefficients",
     "polynomial",
     "poly_mul",
-    "binom",
     "binom_polynomial",
     "gf_coefficient",
     "expand_rational_gf",
@@ -68,11 +67,6 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return polynomial(out)
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0, zero when k > n; negative arguments are rejected."""
-    return math.comb(n, k)
 
 
 def binom_polynomial(x: int, k: int) -> int:

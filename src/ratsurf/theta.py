@@ -10,31 +10,28 @@ point-orthogonal classes, so the series
     Z^r(t) = sum_n h^0(M, theta^r(n)) t^n
 
 is controlled entirely by the splitting of the pushforward of theta^r into
-line-bundle twists on P^l.  The verified splittings, by branch:
+line-bundle twists on P^l.  A twist O(t)^m with t <= 0 contributes
+m t^(-t) / (1-t)^(l+1), so the numerator of Z^r(t) is the sum of m t^(-t)
+over the splitting.
 
-* genus <= 0, or r = 1 on any supported class: the trivial bundle, so
-  Z^r(t) = 1/(1-t)^(l+1);
-* genus 1: O + O(-2) + ... + O(-r), numerator 1 + t^2 + ... + t^r;
-* genus 2 (the classes 2G+(e+3)F on F_0 and F_1): O + O(-2)^3 plus, for
-  i = 3..r, O(-i)^(i+1) + O(-i-1)^(i-2); the numerator is
-  1 + 3t^2 + sum_{i=3}^{r} ((i+1) t^i + (i-2) t^{i+1}).
+`_SPLITTINGS` is the one place a splitting is written: per branch, the
+summands at power r, the increment power r+1 adds, the expected rank r^g and
+the provenance a report prints.  At r = 1 the pushforward is O on every
+supported class.  The numerator, the rank and step checks and the CLI read
+the table; the paper's closed-form numerators are a test oracle for it.  For
+other positive-genus classes with r >= 2 the pushforward is only known to be
+torsion-free (locally free over the integral locus), so the library refuses
+rather than extrapolates.
 
-The total rank of the splitting is r^g.  For other positive-genus classes
-with r >= 2 the pushforward is only known to be torsion-free (locally free
-over the integral locus), so no splitting is available and the library
-refuses rather than extrapolates.
-
-Every series is computed twice: from the closed-form numerator and by
-summing h^0 of each summand on P^l; the two routes agreeing is the library's
-central cross-check.  The genus-2 splitting also satisfies a step-r
-recursion (the r-th power adds O(-r)^(r+1) + O(-r-1)^(r-2)), checked
-independently of the closed form.
+Every series is computed twice: by expanding the numerator with exact
+binomials and by summing h^0 of each summand on P^l.  The increments are
+written apart from the summands, so the step check catches a slip in either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .cohom import cohomology_hirzebruch, cohomology_projective_space, linear_system_dim
 from .conditions import Branch, classify_branch
@@ -44,7 +41,6 @@ from .picard import (
     Surface,
     arithmetic_genus,
     canonical_class,
-    format_divisor,
     hirzebruch,
     intersect,
 )
@@ -60,30 +56,21 @@ from .powerseries import (
 __all__ = [
     "GradedBundle",
     "ThetaContext",
-    "ClosedForm",
+    "ThetaSplitting",
     "Genus2CohomologyCheck",
     "theta_context",
+    "theta_splitting",
     "pushforward_decomposition",
-    "rank",
     "series_numerator",
-    "series_closed_form",
     "z_series",
     "z_from_decomposition",
     "h0_lambda",
     "euler_char_lambda",
     "higher_cohomology_vanishes",
     "recursion_check_g2",
-    "theta_restriction_twist",
     "dualizing_twist",
     "verify_genus2_cohomology",
 ]
-
-_TORSION_FREE_MESSAGE = (
-    "for powers r >= 2 on this class the pushforward of theta^r is only known to be "
-    "torsion-free on the linear system (locally free just over the integral locus); "
-    "no splitting into line-bundle twists is available"
-)
-
 
 @dataclass(frozen=True)
 class GradedBundle:
@@ -120,17 +107,23 @@ class GradedBundle:
     def union(self, pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
         return GradedBundle.from_summands(list(self.summands) + list(pairs))
 
+    def numerator(self) -> Polynomial:
+        """Sum of m t^(-t): the numerator of its section series over (1-t)^(l+1)."""
+        coeffs = [0] * (1 - self.summands[-1][0]) if self.summands else []
+        for twist, mult in self.summands:
+            coeffs[-twist] = mult
+        return polynomial(coeffs)
+
+    def euler_char(self, l: int, n: int) -> int:
+        """chi(P^l, E(n)) with chi(P^l, O(m)) = C(m+l, l) as the binomial polynomial."""
+        return sum(m * binom_polynomial(n + t + l, l) for t, m in self.summands)
+
     def describe(self) -> str:
         pieces = []
         for twist, mult in self.summands:
             body = "O" if twist == 0 else f"O({twist})"
             pieces.append(body if mult == 1 else f"{body}^{mult}")
         return " + ".join(pieces)
-
-
-def rank(gb: GradedBundle) -> int:
-    """Total rank of a graded bundle (sum of multiplicities)."""
-    return gb.rank
 
 
 @dataclass(frozen=True)
@@ -156,74 +149,89 @@ def theta_context(surface: Surface, L: DivisorClass) -> ThetaContext:
     )
 
 
-def _require_power(r: int) -> None:
+class _Entry(NamedTuple):
+    summands: Callable[[int], list[tuple[int, int]]]  # at r >= 2; at r = 1 on GENUS_NONPOSITIVE
+    increment: Callable[[int], list[tuple[int, int]]]  # what power r+1 adds to power r
+    expected_rank: Callable[[int], int]
+    provenance: str
+
+
+#: The one place each verified splitting of pi_* theta^r is written.
+_SPLITTINGS = {
+    Branch.GENUS_NONPOSITIVE: _Entry(
+        lambda r: [(0, 1)],
+        lambda r: [],
+        lambda r: 1,
+        "trivial pushforward: the moduli space is the linear system",
+    ),
+    Branch.GENUS_ONE: _Entry(
+        lambda r: [(0, 1)] + [(-i, 1) for i in range(2, r + 1)],
+        lambda r: [(-(r + 1), 1)],
+        lambda r: r,
+        "genus-1 splitting: twists 0, -2 .. -r",
+    ),
+    Branch.GENUS_TWO: _Entry(
+        lambda r: [(0, 1), (-2, 3)]
+        + [p for i in range(3, r + 1) for p in ((-i, i + 1), (-i - 1, i - 2))],
+        lambda r: [(-(r + 1), r + 2), (-(r + 2), r - 1)],
+        lambda r: r * r,
+        "genus-2 splitting: 1 + 3t^2 block plus recursive twist blocks",
+    ),
+}
+
+
+class ThetaSplitting(NamedTuple):
+    """A branch's table entry at one power r."""
+
+    bundle: GradedBundle
+    increment: tuple[tuple[int, int], ...] | None  # None: power r+1 is not verified
+    expected_rank: int
+    provenance: str
+
+
+def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
+    """Look up the splitting of pi_* theta^r on a branch.
+
+    At r = 1 the pushforward is O on every class, in a verified family or
+    not; at r >= 2 a branch outside the table is refused.
+    """
     if r < 1:
         raise ValueError(f"theta power must be >= 1, got {r}")
-
-
-def _unsupported(ctx: ThetaContext, r: int) -> UnsupportedBranchError:
-    return UnsupportedBranchError(
-        f"power r = {r} on {format_divisor(ctx.surface, ctx.L)} "
-        f"({ctx.surface.name}, branch {ctx.branch.value}): {_TORSION_FREE_MESSAGE}"
+    entry = _SPLITTINGS.get(branch)
+    if r == 1 and branch is not Branch.GENUS_NONPOSITIVE:
+        return ThetaSplitting(
+            GradedBundle(((0, 1),)),
+            tuple(entry.increment(1)) if entry else None,
+            1,
+            "rank-one pushforward: structure sheaf of the linear system",
+        )
+    if entry is None:
+        raise UnsupportedBranchError(
+            f"no closed-form numerator for branch {branch.value} at power {r}: for powers "
+            "r >= 2 on this class the pushforward of theta^r is only known to be torsion-free "
+            "on the linear system (locally free just over the integral locus); no splitting "
+            "into line-bundle twists is available"
+        )
+    return ThetaSplitting(
+        GradedBundle.from_summands(entry.summands(r)),
+        tuple(entry.increment(r)),
+        entry.expected_rank(r),
+        entry.provenance,
     )
-
-
-def _genus2_summands(r: int) -> list[tuple[int, int]]:
-    parts = [(0, 1)]
-    if r >= 2:
-        parts.append((-2, 3))
-    for i in range(3, r + 1):
-        parts.append((-i, i + 1))
-        parts.append((-i - 1, i - 2))
-    return parts
 
 
 def pushforward_decomposition(ctx: ThetaContext, r: int) -> GradedBundle:
     """Splitting of the pushforward of theta^r into twists on P^l."""
-    _require_power(r)
-    if r == 1 or ctx.branch is Branch.GENUS_NONPOSITIVE:
-        return GradedBundle(((0, 1),))
-    if ctx.branch is Branch.GENUS_ONE:
-        return GradedBundle.from_summands([(0, 1)] + [(-i, 1) for i in range(2, r + 1)])
-    if ctx.branch is Branch.GENUS_TWO:
-        return GradedBundle.from_summands(_genus2_summands(r))
-    raise _unsupported(ctx, r)
+    return theta_splitting(ctx.branch, r).bundle
 
 
 def series_numerator(branch: Branch, r: int) -> Polynomial:
-    """Closed-form numerator of Z^r(t) over (1-t)^(l+1) for a supported branch."""
-    _require_power(r)
-    if r == 1 or branch is Branch.GENUS_NONPOSITIVE:
-        return polynomial([1])
-    if branch is Branch.GENUS_ONE:
-        return polynomial([1, 0] + [1] * (r - 1))
-    if branch is Branch.GENUS_TWO:
-        coeffs = [0] * (r + 2)
-        coeffs[0] = 1
-        coeffs[2] = 3
-        for i in range(3, r + 1):
-            coeffs[i] += i + 1
-            coeffs[i + 1] += i - 2
-        return polynomial(coeffs)
-    raise UnsupportedBranchError(
-        f"no closed-form numerator for branch {branch.value} at power {r}: "
-        + _TORSION_FREE_MESSAGE
-    )
-
-
-class ClosedForm(NamedTuple):
-    """Numerator and denominator exponent of Z^r(t) = num(t)/(1-t)^denominator_power."""
-
-    numerator: Polynomial
-    denominator_power: int
-
-
-def series_closed_form(ctx: ThetaContext, r: int) -> ClosedForm:
-    return ClosedForm(series_numerator(ctx.branch, r), ctx.l + 1)
+    """Numerator of Z^r(t) over (1-t)^(l+1), read off the splitting."""
+    return theta_splitting(branch, r).bundle.numerator()
 
 
 def z_series(ctx: ThetaContext, r: int, trunc: int) -> SeriesCoefficients:
-    """Section-count series of theta^r twists, from the closed-form numerator."""
+    """Section-count series of theta^r twists, from the numerator."""
     return expand_rational_gf(series_numerator(ctx.branch, r), ctx.l, trunc)
 
 
@@ -248,12 +256,10 @@ def h0_lambda(ctx: ThetaContext, r: int, n: int) -> int:
 def euler_char_lambda(ctx: ThetaContext, r: int, n: int) -> int:
     """Euler characteristic of the n-th twist, exact for every integer n.
 
-    Computed from the splitting with chi(P^l, O(m)) = C(m+l, l) evaluated as
-    the integer-valued binomial polynomial.  Agrees with h0_lambda whenever
-    no summand reaches twist n+t <= -l-1 (no higher cohomology).
+    Agrees with h0_lambda whenever no summand reaches twist n+t <= -l-1 (no
+    higher cohomology).
     """
-    gb = pushforward_decomposition(ctx, r)
-    return sum(m * binom_polynomial(n + t + ctx.l, ctx.l) for t, m in gb.summands)
+    return pushforward_decomposition(ctx, r).euler_char(ctx.l, n)
 
 
 def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
@@ -262,26 +268,14 @@ def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
 
 
 def recursion_check_g2(r: int) -> bool:
-    """Verify the genus-2 splitting grows by O(-r-1)^(r+2) + O(-r-2)^(r-1).
-
-    The left side is the closed-form splitting at power r+1; the right side
-    is the splitting at power r extended by the increment the restriction
-    sequence over the theta divisor contributes.  Requires r >= 2.
+    """Verify the genus-2 splitting at power r+1 is the one at power r plus
+    the increment the restriction sequence over the theta divisor adds,
+    O(-r-1)^(r+2) + O(-r-2)^(r-1).  Requires r >= 2.
     """
     if r < 2:
         raise ValueError(f"recursion check needs r >= 2, got {r}")
-    closed = GradedBundle.from_summands(_genus2_summands(r + 1))
-    stepped = GradedBundle.from_summands(_genus2_summands(r)).union(
-        [(-(r + 1), r + 2), (-(r + 2), r - 1)]
-    )
-    return closed == stepped
-
-
-def theta_restriction_twist(r: int) -> int:
-    """Twist of theta^r restricted to the theta divisor in the genus-1 regime."""
-    if r < 0:
-        raise ValueError(f"theta power must be >= 0, got {r}")
-    return -r
+    step = theta_splitting(Branch.GENUS_TWO, r)
+    return step.bundle.union(step.increment) == theta_splitting(Branch.GENUS_TWO, r + 1).bundle
 
 
 def dualizing_twist(surface: Surface, L: DivisorClass) -> int:

@@ -42,6 +42,17 @@ def test_zseries_csv(capsys):
     assert out.splitlines() == ["n,h0,chi", "0,1,1", "1,6,6", "2,21,21", "3,56,56"]
 
 
+def test_zseries_is_report_with_zseries_check(capsys):
+    cases = [("p2", "3H", "2", "5", fmt) for fmt in ("text", "json", "csv")]
+    cases += [("f1", "2G+4F", "4", "12", "text"), ("f2", "2G+6F", "2", "5", "text")]
+    for surface, cls, r, trunc, fmt in cases:
+        opts = ["--surface", surface, "--class", cls, "--r", r, "--trunc", trunc, "--format", fmt]
+        zseries = run_cli(capsys, "zseries", *opts)
+        report = run_cli(capsys, "report", *opts, "--checks", "zseries")
+        assert zseries == report
+    assert zseries[0] == 3 and "no closed-form numerator" in zseries[2]
+
+
 def test_report_json_schema_and_round_trip(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratsurf import (
-    binom,
     binom_polynomial,
     expand_rational_gf,
     format_polynomial,
@@ -32,11 +31,12 @@ def test_polynomial_normalization_and_degree():
 
 
 def test_binom_examples():
-    assert binom(11, 9) == 55
-    assert binom(3, 0) == 1
-    assert binom(2, 5) == 0
+    # gf_coefficient takes its binomials from math.comb
+    assert math.comb(11, 9) == 55
+    assert math.comb(3, 0) == 1
+    assert math.comb(2, 5) == 0
     with pytest.raises(ValueError):
-        binom(-1, 2)
+        math.comb(-1, 2)
 
 
 def test_binom_polynomial_matches_comb_for_nonnegative():

@@ -14,14 +14,13 @@ from ratsurf import (
     h0_lambda,
     higher_cohomology_vanishes,
     hirzebruch,
+    polynomial,
     projective_plane,
     pushforward_decomposition,
-    rank,
     recursion_check_g2,
-    series_closed_form,
     series_numerator,
     theta_context,
-    theta_restriction_twist,
+    theta_splitting,
     verify_genus2_cohomology,
     z_from_decomposition,
     z_series,
@@ -37,6 +36,28 @@ CTX_QUARTIC = theta_context(P2, divisor(4))        # genus 3, first power only
 CTX_G1_F0 = theta_context(F0, divisor(2, 2))       # genus 1, l = 8
 CTX_G2_F0 = theta_context(F0, divisor(2, 3))       # genus 2, l = 11
 CTX_G2_F1 = theta_context(F1, divisor(2, 4))       # genus 2, l = 11
+
+# branch -> genus of the branches with a splitting at every power
+SPLIT_BRANCHES = {Branch.GENUS_NONPOSITIVE: 0, Branch.GENUS_ONE: 1, Branch.GENUS_TWO: 2}
+FIRST_POWER_ONLY = (Branch.POSITIVE_GENUS_GENERAL, Branch.UNSUPPORTED)
+
+
+def paper_numerator(branch, r):
+    """The paper's closed-form numerators of Z^r(t), written apart from the
+    library's splitting table so that each checks the other."""
+    if r == 1 or branch is Branch.GENUS_NONPOSITIVE:
+        return polynomial([1])
+    if branch is Branch.GENUS_ONE:
+        return polynomial([1, 0] + [1] * (r - 1))
+    if branch is Branch.GENUS_TWO:
+        coeffs = [0] * (r + 2)
+        coeffs[0] = 1
+        coeffs[2] = 3
+        for i in range(3, r + 1):
+            coeffs[i] += i + 1
+            coeffs[i + 1] += i - 2
+        return polynomial(coeffs)
+    raise ValueError(f"no closed form for {branch} at power {r}")
 
 
 def test_context_fields():
@@ -69,11 +90,17 @@ def test_decomposition_merges_twists():
 
 def test_rank_is_power_of_genus():
     for r in range(1, 51):
-        assert rank(pushforward_decomposition(CTX_CUBIC, r)) == r
-        assert rank(pushforward_decomposition(CTX_G2_F0, r)) == r * r
-        assert rank(pushforward_decomposition(CTX_CONIC, r)) == 1
+        assert pushforward_decomposition(CTX_CUBIC, r).rank == r
+        assert pushforward_decomposition(CTX_G2_F0, r).rank == r * r
+        assert pushforward_decomposition(CTX_CONIC, r).rank == 1
     assert pushforward_decomposition(CTX_CUBIC, 5).rank == 5
     assert pushforward_decomposition(CTX_G2_F0, 3).rank == 9
+    # the expected rank the table states is r^g
+    for branch, genus in SPLIT_BRANCHES.items():
+        for r in range(1, 51):
+            assert theta_splitting(branch, r).expected_rank == r**genus
+    for branch in FIRST_POWER_ONLY:
+        assert theta_splitting(branch, 1).expected_rank == 1
 
 
 def test_unsupported_powers_raise():
@@ -118,9 +145,30 @@ def test_series_numerators():
     assert series_numerator(Branch.GENUS_TWO, 3).coeffs == (1, 0, 3, 4, 1)
     assert series_numerator(Branch.GENUS_NONPOSITIVE, 7).coeffs == (1,)
     assert series_numerator(Branch.POSITIVE_GENUS_GENERAL, 1).coeffs == (1,)
-    closed = series_closed_form(CTX_G2_F1, 3)
-    assert closed.numerator.coeffs == (1, 0, 3, 4, 1)
-    assert closed.denominator_power == 12
+    assert series_numerator(CTX_G2_F1.branch, 3).coeffs == (1, 0, 3, 4, 1)
+    assert CTX_G2_F1.l + 1 == 12
+
+
+def test_numerator_read_off_the_splitting_matches_the_paper():
+    for branch in SPLIT_BRANCHES:
+        for r in range(1, 61):
+            assert series_numerator(branch, r) == paper_numerator(branch, r), (branch, r)
+    for branch in FIRST_POWER_ONLY:
+        assert series_numerator(branch, 1) == paper_numerator(branch, 1)
+        with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*torsion-free"):
+            series_numerator(branch, 2)
+    assert GradedBundle(()).numerator() == polynomial([])
+    # O(t)^m contributes m t^(-t), whatever the gaps between twists
+    assert GradedBundle(((0, 2), (-3, 5))).numerator().coeffs == (2, 0, 0, 5)
+
+
+def test_step_increments_grow_the_splitting():
+    for branch in SPLIT_BRANCHES:
+        for r in range(1, 51):
+            step = theta_splitting(branch, r)
+            assert step.bundle.union(step.increment) == theta_splitting(branch, r + 1).bundle
+    for branch in FIRST_POWER_ONLY:
+        assert theta_splitting(branch, 1).increment is None
 
 
 def test_z_from_decomposition_examples():
@@ -217,14 +265,6 @@ def test_sequence_additivity_genus_one():
         for r in range(1, 25):
             stepped = pushforward_decomposition(ctx, r).union([(-(r + 1), 1)])
             assert stepped == pushforward_decomposition(ctx, r + 1)
-
-
-def test_theta_restriction_twist():
-    assert theta_restriction_twist(1) == -1
-    assert theta_restriction_twist(3) == -3
-    assert theta_restriction_twist(0) == 0
-    with pytest.raises(ValueError):
-        theta_restriction_twist(-1)
 
 
 # ------------------------------------------------------------------- dualizing
