@@ -6,6 +6,7 @@ from ratsurf import (
     check_a2,
     check_a3,
     classify_branch,
+    describe,
     divisor,
     enumerate_decompositions,
     enumerate_effective_below,
@@ -26,7 +27,7 @@ print("  " + ", ".join(format_divisor(f1, d) for d in below))
 decs = enumerate_decompositions(f1, L)
 print(f"decompositions into >= 2 effective pieces: {len(decs)}")
 for dec in decs[:5]:
-    print("  " + dec.describe(f1))
+    print("  " + describe(f1, dec))
 print("  ...")
 
 # A1 with the minimal very ample class G+2F; the rigid section classes G and

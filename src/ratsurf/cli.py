@@ -5,10 +5,15 @@ surface/class parser (surfaces: p2, f<e>, f<e>b; classes: dH, aG+bF,
 aG+bF-cE).  Output formats: text (default), json, csv (series table only).
 `zseries` is `report --checks zseries`: the same code path and output.
 
+Every subcommand builds one payload: `--format json` prints it, and the text
+view is built only when text is shown, so JSON output renders no A1-A3 detail
+line.
+
 Exit codes: 0 all requested checks pass, 1 a requested check failed, 2 parse
-or configuration error, 3 unsupported branch or out-of-scope input, 4
-decomposition cap exceeded.  The truncation cap (default 200) can be raised
-through the RATSURF_MAX_TRUNC environment variable.
+or configuration error, 3 unsupported branch or out-of-scope input (a rigid
+class with dim|L| = 0 included), 4 decomposition cap exceeded, 5 internal
+invariant failed (a bug; one line on stderr).  The truncation cap (default
+200) can be raised through the RATSURF_MAX_TRUNC environment variable.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ from typing import Callable, NamedTuple
 from .cohom import cohomology_table, h0_class
 from .conditions import (
     Branch,
+    ConditionReport,
     check_a1,
     check_a2,
     check_a3,
     default_very_ample,
+    describe,
     is_very_ample,
 )
 from .errors import (
@@ -42,6 +49,7 @@ from .picard import (
     canonical_class,
     format_divisor,
     intersect,
+    moduli_dimension,
     parse_divisor,
     surface_from_name,
 )
@@ -150,67 +158,73 @@ def _validate_r(r: int) -> int:
     return r
 
 
+# -------------------------------------------------------------------- output
+
+
+def _emit(args, payload: dict, text: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or the text view, which is built only here."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(text()))
+
+
+def _fields(width: int, surface: Surface, pairs) -> list[str]:
+    """The surface line, then one `label value` line per pair, every label
+    padded to `width`; a None value prints as '-'."""
+    pairs = [("surface", f"{surface.name} ({surface.description})"), *pairs]
+    return [f"{label:<{width}}{'-' if value is None else value}" for label, value in pairs]
+
+
+def _detail_lines(details) -> list[str]:
+    shown = details[:_DETAIL_DISPLAY_LIMIT]
+    hidden = len(details) - len(shown)
+    return [f"    {line}" for line in shown] + (
+        [f"    ... ({hidden} more lines)"] if hidden > 0 else []
+    )
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_genus(args) -> int:
     surface, divisor = _parse_context(args)
-    k = canonical_class(surface)
-    effective = h0_class(surface, divisor) > 0
+    h0 = h0_class(surface, divisor)
     info = {
         "surface": surface.name,
         "class": format_divisor(surface, divisor),
         "genus": arithmetic_genus(surface, divisor),
         "self_intersection": intersect(surface, divisor, divisor),
-        "canonical_pairing": intersect(surface, divisor, k),
-        "moduli_dimension": intersect(surface, divisor, divisor) + 1,
-        "effective": effective,
-        "dim_linear_system": h0_class(surface, divisor) - 1 if effective else None,
-        "branch": theta_context(surface, divisor).branch.value if effective else None,
+        "canonical_pairing": intersect(surface, divisor, canonical_class(surface)),
+        "moduli_dimension": moduli_dimension(surface, divisor),
+        "effective": h0 > 0,
+        "dim_linear_system": h0 - 1 if h0 > 0 else None,
+        "branch": theta_context(surface, divisor).branch.value if h0 > 0 else None,
     }
-    if args.format == "json":
-        print(json.dumps(info, indent=2))
-    else:
-        print(f"surface          {surface.name} ({surface.description})")
-        print(f"class            {info['class']}")
-        print(f"genus            {info['genus']}")
-        print(f"L.L              {info['self_intersection']}")
-        print(f"L.K              {info['canonical_pairing']}")
-        print(f"moduli dim       {info['moduli_dimension']}")
-        print(f"effective        {'yes' if effective else 'no'}")
-        print(f"dim |L|          {info['dim_linear_system'] if effective else '-'}")
-        print(f"branch           {info['branch'] if effective else '-'}")
+    _emit(args, info, lambda: _fields(17, surface, [
+        ("class", info["class"]),
+        ("genus", info["genus"]),
+        ("L.L", info["self_intersection"]),
+        ("L.K", info["canonical_pairing"]),
+        ("moduli dim", info["moduli_dimension"]),
+        ("effective", "yes" if info["effective"] else "no"),
+        ("dim |L|", info["dim_linear_system"]),
+        ("branch", info["branch"]),
+    ]))
     return 0
 
 
 def _cmd_cohom(args) -> int:
     surface, divisor = _parse_context(args)
-    name = format_divisor(surface, divisor)
+    info = {"surface": surface.name, "class": format_divisor(surface, divisor)}
     if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
-        h0 = h0_class(surface, divisor)
-        info = {"surface": surface.name, "class": name, "h0": h0}
-        if args.format == "json":
-            print(json.dumps(info, indent=2))
-        else:
-            print(f"surface   {surface.name} ({surface.description})")
-            print(f"class     {name}")
-            print(f"h0        {h0}   (h1/h2 are outside the verified blowup scope)")
-        return 0
-    table = cohomology_table(surface, divisor)
-    info = {
-        "surface": surface.name,
-        "class": name,
-        "h0": table.h0,
-        "h1": table.h1,
-        "h2": table.h2,
-        "chi": table.chi,
-    }
-    if args.format == "json":
-        print(json.dumps(info, indent=2))
+        info["h0"] = h0_class(surface, divisor)
+        tail = f"h0        {info['h0']}   (h1/h2 are outside the verified blowup scope)"
     else:
-        print(f"surface   {surface.name} ({surface.description})")
-        print(f"class     {name}")
-        print(f"h0 {table.h0}   h1 {table.h1}   h2 {table.h2}   chi {table.chi}")
+        table = cohomology_table(surface, divisor)
+        info.update(h0=table.h0, h1=table.h1, h2=table.h2, chi=table.chi)
+        tail = f"h0 {table.h0}   h1 {table.h1}   h2 {table.h2}   chi {table.chi}"
+    _emit(args, info, lambda: [*_fields(10, surface, [("class", info["class"])]), tail])
     return 0
 
 
@@ -230,56 +244,39 @@ def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str 
     ], ample
 
 
-def _witness_text(surface: Surface, witness) -> str | None:
-    if witness is None:
-        return None
-    if isinstance(witness, DivisorClass):
-        return format_divisor(surface, witness)
-    if hasattr(witness, "describe"):
-        return witness.describe(surface)
-    return str(witness)
+def _check_entry(name: str, passed: bool, witness: str | None) -> dict:
+    return {"name": name, "pass": passed, "witness": witness}
 
 
-def _print_details(details) -> None:
-    shown = details[:_DETAIL_DISPLAY_LIMIT]
-    for line in shown:
-        print(f"    {line}")
-    hidden = len(details) - len(shown)
-    if hidden > 0:
-        print(f"    ... ({hidden} more lines)")
+def _condition_entry(surface: Surface, rep: ConditionReport) -> dict:
+    witness = None if rep.witness is None else describe(surface, rep.witness)
+    return _check_entry(rep.condition, rep.passed, witness)
 
 
 def _cmd_conditions(args) -> int:
     surface, divisor = _parse_context(args)
     reports, ample = _condition_reports(surface, divisor, args.ample)
-    all_pass = all(rep.passed for rep in reports)
-    if args.format == "json":
-        payload = {
-            "context": {
-                "surface": surface.name,
-                "class": format_divisor(surface, divisor),
-                "ample": format_divisor(surface, ample),
-            },
-            "checks": [
-                {
-                    "name": rep.condition,
-                    "pass": rep.passed,
-                    "witness": _witness_text(surface, rep.witness),
-                }
-                for rep in reports
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"surface   {surface.name} ({surface.description})")
-        print(f"class     {format_divisor(surface, divisor)}")
-        print(f"ample     {format_divisor(surface, ample)}")
-        for rep in reports:
-            print(f"condition {rep.condition}: {'PASS' if rep.passed else 'FAIL'}")
-            _print_details(rep.details)
+    payload = {
+        "context": {
+            "surface": surface.name,
+            "class": format_divisor(surface, divisor),
+            "ample": format_divisor(surface, ample),
+        },
+        "checks": [_condition_entry(surface, rep) for rep in reports],
+    }
+
+    def text() -> list[str]:
+        context = payload["context"]
+        lines = _fields(10, surface, [("class", context["class"]), ("ample", context["ample"])])
+        for rep, entry in zip(reports, payload["checks"]):
+            lines.append(f"condition {rep.condition}: {'PASS' if rep.passed else 'FAIL'}")
+            lines += _detail_lines(rep.details)
             if not rep.passed:
-                print(f"    witness: {_witness_text(surface, rep.witness)}")
-    return 0 if all_pass else 1
+                lines.append(f"    witness: {entry['witness']}")
+        return lines
+
+    _emit(args, payload, text)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _parse_checks(raw: str) -> tuple[str, ...]:
@@ -325,17 +322,16 @@ def _run_checks(
     """Run the checks in order; `series()` returns the run's one `_Series`."""
     surface = ctx.surface
     entries: list[dict] = []
-    condition_details: list[tuple[str, tuple[str, ...]]] = []
+    condition_reports: list[ConditionReport] = []
 
     def add(name: str, passed: bool, witness: str | None) -> None:
-        entries.append({"name": name, "pass": passed, "witness": witness})
+        entries.append(_check_entry(name, passed, witness))
 
     for check in checks:
         if check == "conditions":
             reports, _ = _condition_reports(surface, ctx.L, ample_text)
-            for rep in reports:
-                add(rep.condition, rep.passed, _witness_text(surface, rep.witness))
-                condition_details.append((rep.condition, rep.details))
+            entries += [_condition_entry(surface, rep) for rep in reports]
+            condition_reports += reports
         elif check == "zseries":
             closed = series().h0
             summed = z_from_decomposition(series().split.bundle, ctx.l, trunc)
@@ -405,7 +401,7 @@ def _run_checks(
                 True,
                 f"twist L.K = {twist}; restriction to each support fiber is trivial",
             )
-    return entries, condition_details
+    return entries, condition_reports
 
 
 def _report_payload(ctx: ThetaContext, r: int, trunc: int, series: _Series, entries) -> dict:
@@ -426,35 +422,30 @@ def _report_payload(ctx: ThetaContext, r: int, trunc: int, series: _Series, entr
     }
 
 
-def _print_text_report(ctx: ThetaContext, series: _Series, payload: dict, details) -> None:
-    print(f"surface    {ctx.surface.name} ({ctx.surface.description})")
-    print(f"class      {payload['context']['class']}")
-    print(f"branch     {payload['branch']}")
-    print(f"genus      {ctx.genus}")
-    print(f"dim |L|    {ctx.l}")
-    print(
+def _report_text(ctx: ThetaContext, series: _Series, payload: dict, reports) -> list[str]:
+    lines = _fields(11, ctx.surface, [
+        ("class", payload["context"]["class"]),
+        ("branch", payload["branch"]),
+        ("genus", ctx.genus),
+        ("dim |L|", ctx.l),
+    ])
+    lines.append(
         f"Z(t) = ({format_polynomial(series.numerator)}) / (1 - t)^{ctx.l + 1}"
         f"    [{series.split.provenance}]"
     )
-    print("   n         h0        chi")
-    for row in payload["series"]:
-        print(f"{row['n']:>4}  {row['h0']:>9}  {row['chi']:>9}")
+    lines.append("   n         h0        chi")
+    lines += [f"{row['n']:>4}  {row['h0']:>9}  {row['chi']:>9}" for row in payload["series"]]
     if payload["checks"]:
-        print("checks")
+        lines.append("checks")
         for entry in payload["checks"]:
             line = f"  {entry['name']}: {'PASS' if entry['pass'] else 'FAIL'}"
             if entry["witness"]:
                 line += f" ({entry['witness']})"
-            print(line)
-    for name, lines in details:
-        print(f"details {name}")
-        _print_details(lines)
-
-
-def _print_csv_series(payload: dict) -> None:
-    print("n,h0,chi")
-    for row in payload["series"]:
-        print(f"{row['n']},{row['h0']},{row['chi']}")
+            lines.append(line)
+    for rep in reports:
+        lines.append(f"details {rep.condition}")
+        lines += _detail_lines(rep.details)
+    return lines
 
 
 def _cmd_report(args) -> int:
@@ -465,14 +456,13 @@ def _cmd_report(args) -> int:
     ctx = theta_context(surface, divisor)
     # built on first use, so checks that do not need the series keep their order of errors
     series = functools.cache(lambda: _series(ctx, r, trunc))
-    entries, details = _run_checks(ctx, r, trunc, checks, args.ample, series)
+    entries, reports = _run_checks(ctx, r, trunc, checks, args.ample, series)
     payload = _report_payload(ctx, r, trunc, series(), entries)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _print_csv_series(payload)
+    if args.format == "csv":
+        print("n,h0,chi")
+        print("\n".join(f"{row['n']},{row['h0']},{row['chi']}" for row in payload["series"]))
     else:
-        _print_text_report(ctx, series(), payload, details)
+        _emit(args, payload, lambda: _report_text(ctx, series(), payload, reports))
     return 0 if all(entry["pass"] for entry in entries) else 1
 
 
@@ -494,14 +484,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, message = 4, str(exc)
     except UnsupportedBranchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, str(exc)
     except (ClassParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
+    except AssertionError as exc:
+        code, message = 5, "internal invariant failed: " + str(exc).split("\n")[0]
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

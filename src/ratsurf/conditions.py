@@ -28,9 +28,11 @@ anything else is unsupported.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 from .cohom import h0_class, linear_system_dim
 from .errors import EnumerationCapError, UnsupportedBranchError
@@ -47,6 +49,7 @@ from .picard import (
 __all__ = [
     "Branch",
     "Decomposition",
+    "describe",
     "ConditionReport",
     "DECOMPOSITION_CAP",
     "is_effective",
@@ -73,15 +76,11 @@ class Branch(Enum):
     UNSUPPORTED = "Unsupported"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Multiset of nonzero effective classes with a fixed sum, stored sorted."""
 
     parts: tuple[DivisorClass, ...]
-
-    @staticmethod
-    def of(parts) -> "Decomposition":
-        return Decomposition(tuple(sorted(parts, key=lambda d: d.coeffs)))
 
     def total(self) -> DivisorClass:
         acc = self.parts[0]
@@ -89,20 +88,63 @@ class Decomposition:
             acc = acc + p
         return acc
 
-    def describe(self, surface: Surface) -> str:
-        return "{" + ", ".join(format_divisor(surface, p) for p in self.parts) + "}"
+
+def describe(surface: Surface, item: DivisorClass | Decomposition) -> str:
+    """How a class or a decomposition prints, in detail lines and as a witness."""
+    if isinstance(item, Decomposition):
+        return "{" + ", ".join(format_divisor(surface, p) for p in item.parts) + "}"
+    return format_divisor(surface, item)
+
+
+class Row(NamedTuple):
+    """One checked item: its verdict, its subject (the witness if it fails) and
+    its detail line as a template plus arguments.  Classes and decompositions
+    print through `describe`; `{op}` prints "<=" if the row passes, else ">"."""
+
+    ok: bool
+    subject: DivisorClass | Decomposition | None
+    template: str
+    args: tuple = ()
+
+
+class Details(Sequence):
+    """A report's detail lines, each rendered from its row only when read."""
+
+    def __init__(self, surface: Surface, rows: list[Row]) -> None:
+        self._surface, self._rows = surface, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._render, self._rows[index]))
+        return self._render(self._rows[index])
+
+    def _render(self, row: Row) -> str:
+        args = (
+            describe(self._surface, a) if isinstance(a, (DivisorClass, Decomposition)) else a
+            for a in row.args
+        )
+        return row.template.format(*args, op="<=" if row.ok else ">")
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     condition: str
     passed: bool
-    witness: object | None
-    details: tuple[str, ...]
+    witness: DivisorClass | Decomposition | None
+    details: Sequence[str]
 
     def __post_init__(self) -> None:
         if not self.passed and self.witness is None:
             raise AssertionError("failing condition report must carry a witness")
+
+    @classmethod
+    def from_rows(cls, condition: str, surface: Surface, rows: list[Row]) -> "ConditionReport":
+        """Passes when every row does; the witness is the first failing row's subject."""
+        witness = next((row.subject for row in rows if not row.ok), None)
+        return cls(condition, all(row.ok for row in rows), witness, Details(surface, rows))
 
 
 def is_effective(surface: Surface, d: DivisorClass) -> bool:
@@ -118,14 +160,11 @@ def is_effective(surface: Surface, d: DivisorClass) -> bool:
     return h0_class(surface, d) > 0
 
 
-def _in_blowup_scope(d: DivisorClass) -> bool:
-    return -1 <= -d.coeffs[2] <= 1  # exceptional multiplicity c = -coeffs[2] in {0, 1}
-
-
 def _effective_or_zero(surface: Surface, d: DivisorClass) -> bool:
-    # Enumeration guard: treats out-of-scope blowup classes as non-effective
-    # instead of raising, so box walks stay inside the verified region.
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH and not _in_blowup_scope(d):
+    # Enumeration guard: treats out-of-scope blowup classes (exceptional
+    # multiplicity c = -coeffs[2] outside {0, 1}) as non-effective instead of
+    # raising, so box walks stay inside the verified region.
+    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH and not 0 <= -d.coeffs[2] <= 1:
         return False
     return d.is_zero or is_effective(surface, d)
 
@@ -176,7 +215,8 @@ def enumerate_decompositions(
             f"coefficient sum {weight} of {format_divisor(surface, L)} exceeds the "
             f"decomposition cap {cap}"
         )
-    candidates = [d.coeffs for d in enumerate_effective_below(surface, L)]
+    below = enumerate_effective_below(surface, L)
+    candidates = [d.coeffs for d in below]
     zero = (0,) * len(L.coeffs)
 
     if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
@@ -189,8 +229,8 @@ def enumerate_decompositions(
         def fits(rest: tuple[int, ...]) -> bool:
             return all(c >= 0 for c in rest)
 
-    results: list[tuple[tuple[int, ...], ...]] = []
-    parts: list[tuple[int, ...]] = []
+    results: list[tuple[int, ...]] = []  # indices into the sorted `candidates`
+    parts: list[int] = []
 
     def walk(remaining: tuple[int, ...], start: int) -> None:
         if remaining == zero:
@@ -198,16 +238,17 @@ def enumerate_decompositions(
                 results.append(tuple(parts))
             return
         for i in range(start, len(candidates)):
-            c = candidates[i]
-            rest = tuple(x - y for x, y in zip(remaining, c))
+            rest = tuple(x - y for x, y in zip(remaining, candidates[i]))
             if fits(rest):
-                parts.append(c)
+                parts.append(i)
                 walk(rest, i)
                 parts.pop()
 
     walk(L.coeffs, 0)
     results.sort()
-    return [Decomposition(tuple(DivisorClass(c) for c in parts)) for parts in results]
+    # index order is class order; the parts are `below`'s own classes, since
+    # A2's rows keep every decomposition
+    return [Decomposition(tuple(below[i] for i in parts)) for parts in results]
 
 
 def default_very_ample(surface: Surface) -> DivisorClass:
@@ -241,46 +282,35 @@ def check_a1(surface: Surface, L: DivisorClass, h: DivisorClass) -> ConditionRep
         raise ValueError(f"{format_divisor(surface, h)} is not very ample on {surface.name}")
     kh = canonical_class(surface) + h
     exceptions_allowed = surface.kind is SurfaceKind.HIRZEBRUCH and surface.e == 1
-    details: list[str] = []
-    witness: DivisorClass | None = None
-    passed = True
+    rows: list[Row] = []
     for sub in enumerate_effective_below(surface, L):
         value = intersect(surface, sub, kh)
-        name = format_divisor(surface, sub)
         if value < 0:
-            details.append(f"{name}.(K+H) = {value} < 0")
+            row = Row(True, sub, "{}.(K+H) = {} < 0", (sub, value))
         elif exceptions_allowed and sub.coeffs in ((1, 0), (2, 0)):
-            details.append(f"{name}.(K+H) = {value}, allowed as a rigid section class")
+            row = Row(True, sub, "{}.(K+H) = {}, allowed as a rigid section class", (sub, value))
         else:
-            details.append(f"{name}.(K+H) = {value} >= 0: violation")
-            if witness is None:
-                witness = sub
-            passed = False
-    return ConditionReport("A1", passed, witness, tuple(details))
+            row = Row(False, sub, "{}.(K+H) = {} >= 0: violation", (sub, value))
+        rows.append(row)
+    return ConditionReport.from_rows("A1", surface, rows)
 
 
 def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     """Sub-class genus test plus the decomposition dimension inequality."""
     below = enumerate_effective_below(surface, L)
     genus = {d.coeffs: arithmetic_genus(surface, d) for d in below}
-    details: list[str] = []
-    witness: object | None = None
-    passed = True
+    rows: list[Row] = []
 
     for sub in below:
         if genus[sub.coeffs] > 0:
             continue
         for subsub in enumerate_effective_below(surface, sub):
             if genus[subsub.coeffs] > 0:
-                details.append(
-                    f"{format_divisor(surface, subsub)} (genus {genus[subsub.coeffs]}) lies "
-                    f"below genus-{genus[sub.coeffs]} class {format_divisor(surface, sub)}: violation"
-                )
-                if witness is None:
-                    witness = subsub
-                passed = False
-    if passed:
-        details.append("no positive-genus class sits below a genus <= 0 class")
+                template = "{} (genus {}) lies below genus-{} class {}: violation"
+                args = (subsub, genus[subsub.coeffs], genus[sub.coeffs], sub)
+                rows.append(Row(False, subsub, template, args))
+    if not rows:
+        rows.append(Row(True, None, "no positive-genus class sits below a genus <= 0 class"))
 
     dim_l = linear_system_dim(surface, L)
     g_l = arithmetic_genus(surface, L)
@@ -292,16 +322,9 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
             + sum(max(genus[p.coeffs], 0) for p in dec.parts)
             + 2
         )
-        ok = lhs <= bound
-        details.append(
-            f"{dec.describe(surface)}: sum dims + sum max(g,0) + 2 = {lhs}"
-            f" {'<=' if ok else '>'} {bound}"
-        )
-        if not ok:
-            if witness is None:
-                witness = dec
-            passed = False
-    return ConditionReport("A2", passed, witness, tuple(details))
+        template = "{}: sum dims + sum max(g,0) + 2 = {} {op} {}"
+        rows.append(Row(lhs <= bound, dec, template, (dec, lhs, bound)))
+    return ConditionReport.from_rows("A2", surface, rows)
 
 
 def _base_point_free(surface: Surface, L: DivisorClass) -> bool:
@@ -324,40 +347,23 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
     """
     dim_l = linear_system_dim(surface, L)
     g_l = arithmetic_genus(surface, L)
-    details: list[str] = []
-    witness: object | None = None
-    passed = True
+    rows: list[Row] = []
 
     if g_l < 1:
-        details.append(f"genus {g_l} < 1: no positive-genus smooth members (proxy)")
-        witness = L
-        passed = False
+        rows.append(Row(False, L, "genus {} < 1: no positive-genus smooth members (proxy)", (g_l,)))
     if not _base_point_free(surface, L):
-        details.append("base-point-free marker fails (proxy)")
-        if witness is None:
-            witness = L
-        passed = False
+        rows.append(Row(False, L, "base-point-free marker fails (proxy)"))
 
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    # rest = L - part is itself below L (or zero), so each two-part split is
+    # met at both of its parts; keep it at the smaller one
     for part in enumerate_effective_below(surface, L):
         rest = L - part
-        if rest.is_zero or not _effective_or_zero(surface, rest):
+        if rest.coeffs < part.coeffs:
             continue
-        key = tuple(sorted((part.coeffs, rest.coeffs)))
-        if key in seen:
-            continue
-        seen.add(key)
-        split = Decomposition.of((part, rest))
-        total = sum(linear_system_dim(surface, p) for p in split.parts)
-        ok = total <= dim_l - 2
-        details.append(
-            f"split {split.describe(surface)}: dim sum {total}"
-            f" {'<=' if ok else '>'} {dim_l - 2}"
-        )
-        if not ok:
-            if witness is None:
-                witness = split
-            passed = False
+        split = Decomposition((part, rest))
+        total = linear_system_dim(surface, part) + linear_system_dim(surface, rest)
+        template = "split {}: dim sum {} {op} {}"
+        rows.append(Row(total <= dim_l - 2, split, template, (split, total, dim_l - 2)))
 
     divisor_gcd = gcd(*(abs(c) for c in L.coeffs)) if any(L.coeffs) else 0
     for m in range(2, divisor_gcd + 1):
@@ -367,16 +373,9 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
         if not is_effective(surface, base):
             continue
         dim_base = linear_system_dim(surface, base)
-        ok = dim_base <= dim_l - 2
-        details.append(
-            f"multiple structure {m}*({format_divisor(surface, base)}): dim {dim_base}"
-            f" {'<=' if ok else '>'} {dim_l - 2}"
-        )
-        if not ok:
-            if witness is None:
-                witness = base
-            passed = False
-    return ConditionReport("A3", passed, witness, tuple(details))
+        template = "multiple structure {}*({}): dim {} {op} {}"
+        rows.append(Row(dim_base <= dim_l - 2, base, template, (m, base, dim_base, dim_l - 2)))
+    return ConditionReport.from_rows("A3", surface, rows)
 
 
 def _in_positive_genus_family(surface: Surface, L: DivisorClass) -> bool:

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .cohom import cohomology_hirzebruch, cohomology_projective_space, linear_system_dim
 from .conditions import Branch, classify_branch
-from .errors import UnsupportedBranchError
+from .errors import ScopeError, UnsupportedBranchError
 from .picard import (
     DivisorClass,
     Surface,
@@ -239,6 +239,11 @@ def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoeffici
     """Same series computed summand by summand via h^0 on P^l (cross-check route)."""
     if trunc < 0:
         raise ValueError(f"truncation order must be >= 0, got {trunc}")
+    if l < 1:
+        raise ScopeError(
+            f"dim|L| = {l}: the summand-by-summand series needs a linear system of "
+            "dimension >= 1; rigid classes are outside the verified scope"
+        )
     coeffs = tuple(
         sum(m * cohomology_projective_space(l, n + t).h0 for t, m in gb.summands)
         for n in range(trunc + 1)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import ratsurf.cli
+from ratsurf import conditions
 from ratsurf.cli import main
 
 
@@ -44,7 +46,8 @@ def test_zseries_csv(capsys):
 
 def test_zseries_is_report_with_zseries_check(capsys):
     cases = [("p2", "3H", "2", "5", fmt) for fmt in ("text", "json", "csv")]
-    cases += [("f1", "2G+4F", "4", "12", "text"), ("f2", "2G+6F", "2", "5", "text")]
+    cases += [("f1", "2G+4F", "4", "12", "text"), ("f1", "G", "1", "3", "json")]
+    cases += [("f2", "2G+6F", "2", "5", "text")]
     for surface, cls, r, trunc, fmt in cases:
         opts = ["--surface", surface, "--class", cls, "--r", r, "--trunc", trunc, "--format", fmt]
         zseries = run_cli(capsys, "zseries", *opts)
@@ -113,6 +116,23 @@ def test_conditions_command(capsys):
     assert "condition A3: FAIL" in out
 
 
+def test_conditions_json_renders_no_detail_line(capsys, monkeypatch):
+    calls = []
+    real = conditions.describe
+    monkeypatch.setattr(conditions, "describe", lambda s, item: calls.append(item) or real(s, item))
+    code, out, _ = run_cli(
+        capsys, "conditions", "--surface", "f1", "--class", "2G+4F", "--format", "json"
+    )
+    assert code == 0
+    assert [check["witness"] for check in json.loads(out)["checks"]] == [None, None, None]
+    assert calls == []
+    # text renders each line it prints once, and no line it hides
+    code, out, _ = run_cli(capsys, "conditions", "--surface", "f1", "--class", "2G+6F")
+    assert code == 0
+    assert "    ... (27 more lines)" in out
+    assert 0 < len(calls) <= sum(1 for line in out.splitlines() if line.startswith("    "))
+
+
 def test_genus_command(capsys):
     code, out, _ = run_cli(capsys, "genus", "--surface", "f1", "--class", "2G+4F")
     assert code == 0
@@ -175,12 +195,56 @@ def test_exit_code_3_on_blowup_scope(capsys):
     assert "scope" in err
 
 
+def test_exit_code_3_on_rigid_class(capsys):
+    for argv in (
+        ["zseries", "--surface", "f1", "--class", "G"],
+        ["report", "--surface", "p2", "--class", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: dim|L| = 0: ")
+    # checks that need no summand-by-summand series still run on a rigid class
+    code, out, _ = run_cli(
+        capsys, "report", "--surface", "f1", "--class", "G", "--checks", "invariants",
+        "--trunc", "2",
+    )
+    assert code == 0
+    assert out == (
+        "surface    F1 (Hirzebruch surface F_1)\n"
+        "class      G\n"
+        "branch     GenusNonPositive\n"
+        "genus      0\n"
+        "dim |L|    0\n"
+        "Z(t) = (1) / (1 - t)^1    [trivial pushforward: the moduli space is the linear system]\n"
+        "   n         h0        chi\n"
+        "   0          1          1\n"
+        "   1          1          1\n"
+        "   2          1          1\n"
+        "checks\n"
+        "  rank: PASS\n"
+        "  no-higher-cohomology: PASS\n"
+        "  nonnegative-coefficients: PASS\n"
+    )
+
+
 def test_exit_code_4_on_decomposition_cap(capsys):
     code, _, err = run_cli(
         capsys, "conditions", "--surface", "p2", "--class", "25H"
     )
     assert code == 4
     assert "cap" in err
+
+
+def test_exit_code_5_on_internal_invariant_failure(capsys, monkeypatch):
+    def broken(surface, L):
+        raise AssertionError("summands must be merged and sorted\nsecond line")
+
+    monkeypatch.setattr(ratsurf.cli, "theta_context", broken)
+    code, out, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3H")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal invariant failed: summands must be merged and sorted\n"
 
 
 def test_cli_module_entry_point():

@@ -1,5 +1,6 @@
-"""The CLI output contract: the small-command corpus recorded in
-bench/reference.json, the theta-tower oracle, and every demo script.
+"""The CLI output contract: the small-command corpus and the small
+conditions-sweep classes recorded in bench/reference.json, the theta-tower
+oracle, and every demo script.
 
 bench/ is only read: its modules are imported without writing bytecode.
 """
@@ -7,6 +8,7 @@ bench/ is only read: its modules are imported without writing bytecode.
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,23 @@ def test_cli_pool_matches_reference():
         if workloads.reference_entry(*run_in_process(argv)) != reference[" ".join(argv)]
     ]
     assert len(workloads.CLI_POOL) == 61
+    assert not mismatches
+
+
+def test_small_conditions_pool_matches_reference():
+    reference = workloads.load_reference()
+    classes = [
+        (surface, cls)
+        for surface, cls in workloads.CONDITIONS_POOL
+        if sum(map(int, re.findall(r"\d+", cls))) <= 10
+    ]
+    assert len(classes) == 62
+    mismatches = [
+        " ".join(argv)
+        for surface, cls in classes
+        for argv in (workloads.conditions_argv(surface, cls, fmt) for fmt in ("text", "json"))
+        if workloads.reference_entry(*run_in_process(argv)) != reference[" ".join(argv)]
+    ]
     assert not mismatches
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ratsurf import (
     Branch,
+    ConditionReport,
     Decomposition,
     EnumerationCapError,
     UnsupportedBranchError,
@@ -14,6 +15,8 @@ from ratsurf import (
     check_a2,
     check_a3,
     classify_branch,
+    conditions,
+    describe,
     divisor,
     enumerate_decompositions,
     enumerate_effective_below,
@@ -145,6 +148,48 @@ def test_decomposition_parts_sum_and_dedupe():
             assert all(not p.is_zero for p in dec.parts)
 
 
+def brute_force_decompositions(surface, L):
+    """Every multiset of >= 2 classes below L summing to L, pruned only on the
+    G and F coordinates (every class below L has a positive one)."""
+    candidates = enumerate_effective_below(surface, L)
+    found = set()
+
+    def walk(start, parts, total):
+        if total == L.coeffs and len(parts) >= 2:
+            found.add(tuple(p.coeffs for p in parts))
+        for i in range(start, len(candidates)):
+            step = tuple(x + y for x, y in zip(total, candidates[i].coeffs))
+            if step[0] <= L.coeffs[0] and step[1] <= L.coeffs[1]:
+                walk(i, parts + [candidates[i]], step)
+
+    walk(0, [], (0,) * len(L.coeffs))
+    return found
+
+
+def test_enumerate_decompositions_on_blowup_with_exceptional_term():
+    # the walk meets the remainder E after F-E, F-E; it is out of scope, not an error
+    assert enumerate_decompositions(blowup_hirzebruch(0), divisor(0, 2, -1)) == [
+        Decomposition((divisor(0, 1, -1), divisor(0, 1, 0)))
+    ]
+
+
+def test_blowup_decompositions_against_brute_force():
+    checked = 0
+    for e in (0, 1, 2):
+        surface = blowup_hirzebruch(e)
+        for a, b, c in itertools.product(range(4), range(5), (0, 1)):
+            L = divisor(a, b, -c)
+            if L.is_zero or not is_effective(surface, L):
+                continue
+            decs = enumerate_decompositions(surface, L)
+            got = {tuple(p.coeffs for p in dec.parts) for dec in decs}
+            assert got == brute_force_decompositions(surface, L), (e, L)
+            assert isinstance(check_a2(surface, L), ConditionReport)
+            assert isinstance(check_a3(surface, L), ConditionReport)
+            checked += 1
+    assert checked > 100
+
+
 def test_decomposition_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_decompositions(P2, divisor(25))
@@ -268,6 +313,101 @@ def test_conditions_pass_on_all_example_classes():
         assert check_a1(surface, L, ample).passed
         assert check_a2(surface, L).passed
         assert check_a3(surface, L).passed
+
+
+def test_describe_prints_classes_and_decompositions():
+    assert describe(F1, divisor(2, 4)) == "2G+4F"
+    assert describe(F1, Decomposition((divisor(0, 1), divisor(2, 3)))) == "{F, 2G+3F}"
+
+
+def test_detail_lines_and_witnesses():
+    # every kind of row, as the reports have always printed it
+    F2 = hirzebruch(2)
+    cases = [
+        (F0, check_a1(F0, divisor(2, 0), divisor(1, 2)), "G", [
+            "G.(K+H) = 0 >= 0: violation",
+            "2G.(K+H) = 0 >= 0: violation",
+        ]),
+        (F1, check_a1(F1, divisor(2, 1), divisor(1, 2)), None, [
+            "F.(K+H) = -1 < 0",
+            "G.(K+H) = 0, allowed as a rigid section class",
+            "G+F.(K+H) = -1 < 0",
+            "2G.(K+H) = 0, allowed as a rigid section class",
+            "2G+F.(K+H) = -1 < 0",
+        ]),
+        (F0, check_a2(F0, divisor(3, 0)), "{G, G, G}", [
+            "no positive-genus class sits below a genus <= 0 class",
+            "{G, G, G}: sum dims + sum max(g,0) + 2 = 5 > 1",
+            "{G, 2G}: sum dims + sum max(g,0) + 2 = 5 > 1",
+        ]),
+        (F0, check_a3(F0, divisor(0, 2)), "2F", [
+            "genus -1 < 1: no positive-genus smooth members (proxy)",
+            "split {F, F}: dim sum 2 > 0",
+            "multiple structure 2*(F): dim 1 > 0",
+        ]),
+        (F0, check_a3(F0, divisor(2, 2)), None, [
+            "split {F, 2G+F}: dim sum 6 <= 6",
+            "split {2F, 2G}: dim sum 4 <= 6",
+            "split {G, G+2F}: dim sum 6 <= 6",
+            "split {G+F, G+F}: dim sum 6 <= 6",
+            "multiple structure 2*(G+F): dim 3 <= 6",
+        ]),
+    ]
+    for surface, report, witness, lines in cases:
+        assert list(report.details) == lines
+        assert report.passed == (witness is None)
+        if witness is None:
+            assert report.witness is None
+        else:
+            assert describe(surface, report.witness) == witness
+    report = check_a2(F2, divisor(3, 4))
+    assert report.details[0] == "2G+4F (genus 1) lies below genus-0 class 3G+4F: violation"
+    assert report.witness == divisor(2, 4)
+    assert len(report.details) == 57
+
+
+LAZY_CASES = [
+    ("A1", lambda: check_a1(F1, divisor(2, 4), divisor(1, 2))),
+    ("A1", lambda: check_a1(F0, divisor(2, 0), divisor(1, 2))),
+    ("A2", lambda: check_a2(P2, divisor(2))),
+    ("A2", lambda: check_a2(F1, divisor(2, 6))),  # 77 lines, more than the CLI shows
+    ("A2", lambda: check_a2(hirzebruch(2), divisor(3, 4))),
+    ("A3", lambda: check_a3(F0, divisor(2, 4))),
+    ("A3", lambda: check_a3(F0, divisor(0, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, run", LAZY_CASES, ids=[f"{name}-{i}" for i, (name, _) in enumerate(LAZY_CASES)]
+)
+def test_lazy_details_read_like_a_tuple(name, run):
+    report = run()
+    assert report.condition == name
+    full = list(report.details)
+    assert full and all(isinstance(line, str) for line in full)
+    assert len(report.details) == len(full)
+    assert report.details[:50] == tuple(full[:50])
+    assert report.details[3:7] == tuple(full[3:7])
+    assert [report.details[i] for i in range(len(full))] == full
+    assert report.details[-1] == full[-1]
+    assert all(line in report.details for line in full)
+    assert "not a detail line" not in report.details
+
+
+def test_details_render_only_when_read(monkeypatch):
+    calls = []
+    real = conditions.describe
+    monkeypatch.setattr(conditions, "describe", lambda s, item: calls.append(item) or real(s, item))
+    report = check_a2(F1, divisor(2, 6))
+    assert calls == []
+    assert len(report.details) == 77
+    assert calls == []
+    # the first line names no class; each decomposition line describes one decomposition
+    report.details[:50]
+    assert len(calls) == 49
+    calls.clear()
+    report.details[60]
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------------- branches
