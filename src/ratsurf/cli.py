@@ -12,18 +12,18 @@ line.
 Exit codes: 0 all requested checks pass, 1 a requested check failed, 2 parse
 or configuration error, 3 unsupported branch or out-of-scope input (a rigid
 class with dim|L| = 0 included), 4 decomposition cap exceeded, 5 internal
-invariant failed (a bug; one line on stderr).  The truncation cap (default
-200) can be raised through the RATSURF_MAX_TRUNC environment variable.
+invariant failed (a bug; one line on stderr).  `--trunc` above its cap
+(default 200) and `--r` above its cap (default 1000) exit 2; the
+RATSURF_MAX_TRUNC and RATSURF_MAX_R environment variables override the caps.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .cohom import cohomology_table, h0_class
 from .conditions import (
@@ -39,6 +39,7 @@ from .conditions import (
 from .errors import (
     ClassParseError,
     EnumerationCapError,
+    ScopeError,
     UnsupportedBranchError,
 )
 from .picard import (
@@ -53,36 +54,32 @@ from .picard import (
     parse_divisor,
     surface_from_name,
 )
-from .powerseries import Polynomial, expand_rational_gf, format_polynomial
+from .powerseries import format_polynomial
 from .theta import (
-    ThetaContext,
-    ThetaSplitting,
+    ThetaSeries,
     dualizing_twist,
     pushforward_decomposition,
-    recursion_check_g2,
+    recursion_failure_g2,
     theta_context,
-    theta_splitting,
     verify_genus2_cohomology,
-    z_from_decomposition,
 )
 
 DEFAULT_TRUNC_CAP = 200
+DEFAULT_R_CAP = 1000
 ALL_CHECKS = ("conditions", "zseries", "invariants", "g2cohom", "dualizing")
 DEFAULT_CHECKS = ("zseries", "invariants")
 
 _DETAIL_DISPLAY_LIMIT = 50
 
 
-def _trunc_cap() -> int:
-    raw = os.environ.get("RATSURF_MAX_TRUNC")
-    if raw is None:
-        return DEFAULT_TRUNC_CAP
+def _cap(env_name: str, default: int) -> int:
+    raw = os.environ.get(env_name, str(default))
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ClassParseError(f"RATSURF_MAX_TRUNC must be an integer, got {raw!r}") from exc
+        raise ClassParseError(f"{env_name} must be an integer, got {raw!r}") from exc
     if cap < 0:
-        raise ClassParseError(f"RATSURF_MAX_TRUNC must be >= 0, got {cap}")
+        raise ClassParseError(f"{env_name} must be >= 0, got {cap}")
     return cap
 
 
@@ -141,21 +138,15 @@ def _parse_context(args) -> tuple[Surface, DivisorClass]:
     return surface, divisor
 
 
-def _validate_trunc(trunc: int) -> int:
-    cap = _trunc_cap()
-    if trunc < 0:
-        raise ClassParseError(f"--trunc must be >= 0, got {trunc}")
-    if trunc > cap:
+def _validate(option: str, value: int, low: int, env_name: str, default_cap: int) -> int:
+    cap = _cap(env_name, default_cap)
+    if value < low:
+        raise ClassParseError(f"--{option} must be >= {low}, got {value}")
+    if value > cap:
         raise ClassParseError(
-            f"--trunc {trunc} exceeds the cap {cap} (raise RATSURF_MAX_TRUNC to override)"
+            f"--{option} {value} exceeds the cap {cap} (raise {env_name} to override)"
         )
-    return trunc
-
-
-def _validate_r(r: int) -> int:
-    if r < 1:
-        raise ClassParseError(f"--r must be >= 1, got {r}")
-    return r
+    return value
 
 
 # -------------------------------------------------------------------- output
@@ -229,6 +220,8 @@ def _cmd_cohom(args) -> int:
 
 
 def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str | None):
+    if divisor.is_zero:  # nothing lies below 0, so every check would pass vacuously
+        raise ScopeError("dim|L| = 0: conditions A1-A3 need a nonzero class")
     if ample_text is not None:
         ample = parse_divisor(surface, ample_text)
         if not is_very_ample(surface, ample):
@@ -291,41 +284,19 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     return names
 
 
-class _Series(NamedTuple):
-    """Everything a report shows of Z^r(t), each part built once."""
-
-    split: ThetaSplitting
-    numerator: Polynomial
-    h0: tuple[int, ...]  # n = 0..trunc, from the numerator
-    chi: tuple[int, ...]  # n = 0..trunc, from the splitting
-
-
-def _series(ctx: ThetaContext, r: int, trunc: int) -> _Series:
-    split = theta_splitting(ctx.branch, r)
-    numerator = split.bundle.numerator()
-    return _Series(
-        split,
-        numerator,
-        expand_rational_gf(numerator, ctx.l, trunc).coeffs,
-        tuple(split.bundle.euler_char(ctx.l, n) for n in range(trunc + 1)),
-    )
-
-
-def _run_checks(
-    ctx: ThetaContext,
-    r: int,
-    trunc: int,
-    checks: tuple[str, ...],
-    ample_text: str | None,
-    series: Callable[[], _Series],
-):
-    """Run the checks in order; `series()` returns the run's one `_Series`."""
-    surface = ctx.surface
+def _run_checks(series: ThetaSeries, checks: tuple[str, ...], ample_text: str | None):
+    """Run the checks in order; each reads the columns it needs from `series`."""
+    ctx, r, surface = series.ctx, series.r, series.ctx.surface
     entries: list[dict] = []
     condition_reports: list[ConditionReport] = []
 
     def add(name: str, passed: bool, witness: str | None) -> None:
         entries.append(_check_entry(name, passed, witness))
+
+    def add_first(name: str, bad: Callable[[int], bool], witness: Callable[[int], str]) -> None:
+        """Passes when no n in 0..trunc is bad; the witness names the first that is."""
+        n = next((n for n in range(series.trunc + 1) if bad(n)), None)
+        add(name, n is None, None if n is None else witness(n))
 
     for check in checks:
         if check == "conditions":
@@ -333,28 +304,21 @@ def _run_checks(
             entries += [_condition_entry(surface, rep) for rep in reports]
             condition_reports += reports
         elif check == "zseries":
-            closed = series().h0
-            summed = z_from_decomposition(series().split.bundle, ctx.l, trunc)
-            mismatch = next(
-                (n for n in range(trunc + 1) if closed[n] != summed[n]), None
-            )
-            add(
+            closed, summed = series.h0, series.summed
+            add_first(
                 "series-consistency",
-                mismatch is None,
-                None
-                if mismatch is None
-                else f"n={mismatch}: closed form {closed[mismatch]} != summand count {summed[mismatch]}",
+                lambda n: closed[n] != summed[n],
+                lambda n: f"n={n}: closed form {closed[n]} != summand count {summed[n]}",
             )
         elif check == "invariants":
-            z = series()
-            gb, expected = z.split.bundle, z.split.expected_rank
+            gb, expected = series.split.bundle, series.split.expected_rank
             add(
                 "rank",
                 gb.rank == expected,
                 None if gb.rank == expected else f"rank {gb.rank} != {expected}",
             )
             if ctx.branch is Branch.GENUS_ONE:
-                stepped = gb.union(z.split.increment)
+                stepped = gb.union(series.split.increment)
                 grown = pushforward_decomposition(ctx, r + 1)
                 add(
                     "sequence-additivity",
@@ -362,19 +326,18 @@ def _run_checks(
                     None if stepped == grown else grown.describe(),
                 )
             if ctx.branch is Branch.GENUS_TWO:
-                bad = next((s for s in range(2, max(2, r) + 1) if not recursion_check_g2(s)), None)
+                bad = recursion_failure_g2(max(2, r))
                 add("recursion", bad is None, None if bad is None else f"fails at power {bad}")
-            bad_n = next((n for n in range(trunc + 1) if z.chi[n] != z.h0[n]), None)
-            add(
+            h0, chi = series.h0, series.chi
+            add_first(
                 "no-higher-cohomology",
-                bad_n is None,
-                None if bad_n is None else f"n={bad_n}: chi {z.chi[bad_n]} != h0 {z.h0[bad_n]}",
+                lambda n: chi[n] != h0[n],
+                lambda n: f"n={n}: chi {chi[n]} != h0 {h0[n]}",
             )
-            neg = next((n for n in range(trunc + 1) if z.h0[n] < 0), None)
-            add(
+            add_first(
                 "nonnegative-coefficients",
-                neg is None,
-                None if neg is None else f"coefficient of t^{neg} is {z.h0[neg]}",
+                lambda n: h0[n] < 0,
+                lambda n: f"coefficient of t^{n} is {h0[n]}",
             )
         elif check == "g2cohom":
             if ctx.branch is not Branch.GENUS_TWO:
@@ -404,25 +367,27 @@ def _run_checks(
     return entries, condition_reports
 
 
-def _report_payload(ctx: ThetaContext, r: int, trunc: int, series: _Series, entries) -> dict:
+def _report_payload(series: ThetaSeries, entries) -> dict:
+    ctx = series.ctx
     return {
         "context": {
             "surface": ctx.surface.name,
             "class": format_divisor(ctx.surface, ctx.L),
-            "r": r,
-            "trunc": trunc,
+            "r": series.r,
+            "trunc": series.trunc,
             "genus": ctx.genus,
             "dim_linear_system": ctx.l,
         },
         "branch": ctx.branch.value,
         "series": [
-            {"n": n, "h0": series.h0[n], "chi": series.chi[n]} for n in range(trunc + 1)
+            {"n": n, "h0": series.h0[n], "chi": series.chi[n]} for n in range(series.trunc + 1)
         ],
         "checks": entries,
     }
 
 
-def _report_text(ctx: ThetaContext, series: _Series, payload: dict, reports) -> list[str]:
+def _report_text(series: ThetaSeries, payload: dict, reports) -> list[str]:
+    ctx = series.ctx
     lines = _fields(11, ctx.surface, [
         ("class", payload["context"]["class"]),
         ("branch", payload["branch"]),
@@ -450,19 +415,17 @@ def _report_text(ctx: ThetaContext, series: _Series, payload: dict, reports) -> 
 
 def _cmd_report(args) -> int:
     surface, divisor = _parse_context(args)
-    r = _validate_r(args.r)
-    trunc = _validate_trunc(args.trunc)
+    r = _validate("r", args.r, 1, "RATSURF_MAX_R", DEFAULT_R_CAP)
+    trunc = _validate("trunc", args.trunc, 0, "RATSURF_MAX_TRUNC", DEFAULT_TRUNC_CAP)
     checks = _parse_checks(args.checks)
-    ctx = theta_context(surface, divisor)
-    # built on first use, so checks that do not need the series keep their order of errors
-    series = functools.cache(lambda: _series(ctx, r, trunc))
-    entries, reports = _run_checks(ctx, r, trunc, checks, args.ample, series)
-    payload = _report_payload(ctx, r, trunc, series(), entries)
+    series = ThetaSeries(theta_context(surface, divisor), r, trunc)
+    entries, reports = _run_checks(series, checks, args.ample)
+    payload = _report_payload(series, entries)
     if args.format == "csv":
         print("n,h0,chi")
         print("\n".join(f"{row['n']},{row['h0']},{row['chi']}" for row in payload["series"]))
     else:
-        _emit(args, payload, lambda: _report_text(ctx, series(), payload, reports))
+        _emit(args, payload, lambda: _report_text(series, payload, reports))
     return 0 if all(entry["pass"] for entry in entries) else 1
 
 

@@ -82,12 +82,6 @@ class Decomposition:
 
     parts: tuple[DivisorClass, ...]
 
-    def total(self) -> DivisorClass:
-        acc = self.parts[0]
-        for p in self.parts[1:]:
-            acc = acc + p
-        return acc
-
 
 def describe(surface: Surface, item: DivisorClass | Decomposition) -> str:
     """How a class or a decomposition prints, in detail lines and as a witness."""

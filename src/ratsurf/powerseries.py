@@ -18,7 +18,6 @@ __all__ = [
     "Polynomial",
     "SeriesCoefficients",
     "polynomial",
-    "poly_mul",
     "binom_polynomial",
     "gf_coefficient",
     "expand_rational_gf",
@@ -44,9 +43,6 @@ class Polynomial:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return poly_mul(self, other)
-
 
 def polynomial(coeffs) -> Polynomial:
     """Normalizing constructor: trims trailing zeros, accepts any iterable."""
@@ -54,19 +50,6 @@ def polynomial(coeffs) -> Polynomial:
     while cs and cs[-1] == 0:
         cs.pop()
     return Polynomial(tuple(int(c) for c in cs))
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Convolution product; degrees add."""
-    if not p.coeffs or not q.coeffs:
-        return polynomial([])
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return polynomial(out)
 
 
 def binom_polynomial(x: int, k: int) -> int:
@@ -116,8 +99,6 @@ class SeriesCoefficients:
 
 def expand_rational_gf(numerator: Polynomial, l: int, trunc: int) -> SeriesCoefficients:
     """Expand numerator / (1-t)^(l+1) through t^trunc."""
-    if trunc < 0:
-        raise ValueError(f"truncation order must be >= 0, got {trunc}")
     return SeriesCoefficients(
         trunc, tuple(gf_coefficient(numerator, l, n) for n in range(trunc + 1))
     )

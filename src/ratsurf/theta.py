@@ -23,14 +23,21 @@ other positive-genus classes with r >= 2 the pushforward is only known to be
 torsion-free (locally free over the integral locus), so the library refuses
 rather than extrapolates.
 
-Every series is computed twice: by expanding the numerator with exact
-binomials and by summing h^0 of each summand on P^l.  The increments are
+`ThetaSeries` holds the splitting, the numerator and three columns for
+n = 0..trunc: `h0` expands the numerator with exact binomials; `summed` adds,
+per twist t, one column of h^0(P^l, O(j)) at every n with n + t >= 0; `chi`,
+a polynomial of degree l in n, is summed over the splitting at n = 0..l and
+extended through its vanishing (l+1)-th difference.  The two h0 routes stay
+independent (the numerator and `powerseries` against the summands and
+`cohom`), so a slip in either shows as a mismatch.  The increments are
 written apart from the summands, so the step check catches a slip in either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
 from .cohom import cohomology_hirzebruch, cohomology_projective_space, linear_system_dim
@@ -57,6 +64,7 @@ __all__ = [
     "GradedBundle",
     "ThetaContext",
     "ThetaSplitting",
+    "ThetaSeries",
     "Genus2CohomologyCheck",
     "theta_context",
     "theta_splitting",
@@ -68,9 +76,18 @@ __all__ = [
     "euler_char_lambda",
     "higher_cohomology_vanishes",
     "recursion_check_g2",
+    "recursion_failure_g2",
     "dualizing_twist",
     "verify_genus2_cohomology",
 ]
+
+
+def _add(merged: dict[int, int], pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add (twist, multiplicity) pairs into the twist -> multiplicity map `merged`."""
+    for twist, mult in pairs:
+        merged[twist] = merged.get(twist, 0) + mult
+    return merged
+
 
 @dataclass(frozen=True)
 class GradedBundle:
@@ -93,9 +110,7 @@ class GradedBundle:
 
     @staticmethod
     def from_summands(pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
-        merged: dict[int, int] = {}
-        for twist, mult in pairs:
-            merged[twist] = merged.get(twist, 0) + mult
+        merged = _add({}, pairs)
         return GradedBundle(
             tuple((t, merged[t]) for t in sorted(merged, reverse=True) if merged[t])
         )
@@ -230,9 +245,45 @@ def series_numerator(branch: Branch, r: int) -> Polynomial:
     return theta_splitting(branch, r).bundle.numerator()
 
 
+class ThetaSeries:
+    """Z^r(t) of one context through t^trunc.  Each part is computed on first
+    read and kept, so a refusal is raised where the series is first read."""
+
+    def __init__(self, ctx: ThetaContext, r: int, trunc: int) -> None:
+        self.ctx, self.r, self.trunc = ctx, r, trunc
+
+    @cached_property
+    def split(self) -> ThetaSplitting:
+        return theta_splitting(self.ctx.branch, self.r)
+
+    @cached_property
+    def numerator(self) -> Polynomial:
+        return self.split.bundle.numerator()
+
+    @cached_property
+    def h0(self) -> SeriesCoefficients:
+        """h^0 by the numerator route."""
+        return expand_rational_gf(self.numerator, self.ctx.l, self.trunc)
+
+    @cached_property
+    def summed(self) -> SeriesCoefficients:
+        """h^0 by the summand route."""
+        return z_from_decomposition(self.split.bundle, self.ctx.l, self.trunc)
+
+    @cached_property
+    def chi(self) -> SeriesCoefficients:
+        """chi from the splitting at n <= l, then by the vanishing (l+1)-th difference."""
+        l, trunc = self.ctx.l, self.trunc
+        chi = [self.split.bundle.euler_char(l, n) for n in range(min(trunc, l) + 1)]
+        weights = [(-1) ** (k + 1) * math.comb(l + 1, k) for k in range(1, l + 2)]
+        for n in range(l + 1, trunc + 1):
+            chi.append(sum(w * chi[n - k] for k, w in enumerate(weights, 1)))
+        return SeriesCoefficients(trunc, tuple(chi))
+
+
 def z_series(ctx: ThetaContext, r: int, trunc: int) -> SeriesCoefficients:
     """Section-count series of theta^r twists, from the numerator."""
-    return expand_rational_gf(series_numerator(ctx.branch, r), ctx.l, trunc)
+    return ThetaSeries(ctx, r, trunc).h0
 
 
 def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoefficients:
@@ -244,11 +295,12 @@ def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoeffici
             f"dim|L| = {l}: the summand-by-summand series needs a linear system of "
             "dimension >= 1; rigid classes are outside the verified scope"
         )
-    coeffs = tuple(
-        sum(m * cohomology_projective_space(l, n + t).h0 for t, m in gb.summands)
-        for n in range(trunc + 1)
-    )
-    return SeriesCoefficients(trunc, coeffs)
+    h0 = [cohomology_projective_space(l, j).h0 for j in range(trunc + 1)]
+    coeffs = [0] * (trunc + 1)
+    for t, m in gb.summands:
+        for n in range(-t, trunc + 1):
+            coeffs[n] += m * h0[n + t]
+    return SeriesCoefficients(trunc, tuple(coeffs))
 
 
 def h0_lambda(ctx: ThetaContext, r: int, n: int) -> int:
@@ -272,15 +324,24 @@ def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
     return all(n + t >= -l for t, _ in gb.summands)
 
 
+def recursion_failure_g2(top: int, start: int = 2) -> int | None:
+    """First s in start..top (start >= 2) where the genus-2 splitting at power s
+    plus the increment over the theta divisor, O(-s-1)^(s+2) + O(-s-2)^(s-1),
+    is not the one at power s+1, else None.  One running count walks the tower."""
+    if start < 2:
+        raise ValueError(f"recursion check needs r >= 2, got {start}")
+    entry = _SPLITTINGS[Branch.GENUS_TWO]
+    running = _add({}, entry.summands(start))
+    for s in range(start, top + 1):
+        _add(running, entry.increment(s))
+        if running != _add({}, entry.summands(s + 1)):
+            return s
+    return None
+
+
 def recursion_check_g2(r: int) -> bool:
-    """Verify the genus-2 splitting at power r+1 is the one at power r plus
-    the increment the restriction sequence over the theta divisor adds,
-    O(-r-1)^(r+2) + O(-r-2)^(r-1).  Requires r >= 2.
-    """
-    if r < 2:
-        raise ValueError(f"recursion check needs r >= 2, got {r}")
-    step = theta_splitting(Branch.GENUS_TWO, r)
-    return step.bundle.union(step.increment) == theta_splitting(Branch.GENUS_TWO, r + 1).bundle
+    """One step of `recursion_failure_g2`: power r plus its increment is power r+1."""
+    return recursion_failure_g2(r, start=r) is None
 
 
 def dualizing_twist(surface: Surface, L: DivisorClass) -> int:

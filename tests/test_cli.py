@@ -228,6 +228,43 @@ def test_exit_code_3_on_rigid_class(capsys):
     )
 
 
+def test_exit_code_3_on_zero_class_conditions(capsys):
+    # nothing lies below 0, so A1-A3 would pass vacuously: the zero class is refused
+    for surface in ("p2", "f1"):
+        for argv in (
+            ["conditions", "--surface", surface, "--class", "0"],
+            ["report", "--surface", surface, "--class", "0", "--checks", "conditions"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert err.startswith("error: dim|L| = 0: conditions A1-A3 need a nonzero class")
+
+
+def test_exit_code_2_on_r_cap(capsys, monkeypatch):
+    monkeypatch.delenv("RATSURF_MAX_R", raising=False)
+    cap = ratsurf.cli.DEFAULT_R_CAP
+    assert cap >= 500  # every theta-tower op of the benchmark stays accepted
+    argv = ["report", "--surface", "p2", "--class", "3H", "--trunc", "0", "--checks", "dualizing"]
+    code, out, err = run_cli(capsys, *argv, "--r", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --r {cap + 1} exceeds the cap {cap} (raise RATSURF_MAX_R to override)\n"
+    code, _, _ = run_cli(capsys, *argv, "--r", str(cap))
+    assert code == 0
+    monkeypatch.setenv("RATSURF_MAX_R", str(cap + 1))
+    code, out, _ = run_cli(capsys, *argv, "--r", str(cap + 1))
+    assert code == 0
+    assert "  dualizing-twist: PASS" in out
+    monkeypatch.setenv("RATSURF_MAX_R", "3")
+    code, _, err = run_cli(capsys, "zseries", "--surface", "p2", "--class", "3H", "--r", "4")
+    assert code == 2
+    assert "--r 4 exceeds the cap 3" in err
+    monkeypatch.setenv("RATSURF_MAX_R", "many")
+    code, _, err = run_cli(capsys, "zseries", "--surface", "p2", "--class", "3H", "--r", "2")
+    assert code == 2
+    assert "RATSURF_MAX_R must be an integer" in err
+
+
 def test_exit_code_4_on_decomposition_cap(capsys):
     code, _, err = run_cli(
         capsys, "conditions", "--surface", "p2", "--class", "25H"

@@ -29,8 +29,9 @@ finally:
 
 
 @pytest.fixture(autouse=True)
-def _default_trunc_cap(monkeypatch):
+def _default_caps(monkeypatch):
     monkeypatch.delenv("RATSURF_MAX_TRUNC", raising=False)
+    monkeypatch.delenv("RATSURF_MAX_R", raising=False)
 
 
 def run_in_process(argv):

