@@ -35,11 +35,11 @@ from .conditions import (
     default_very_ample,
     describe,
     is_very_ample,
+    refuse_zero_class,
 )
 from .errors import (
     ClassParseError,
     EnumerationCapError,
-    ScopeError,
     UnsupportedBranchError,
 )
 from .picard import (
@@ -220,8 +220,7 @@ def _cmd_cohom(args) -> int:
 
 
 def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str | None):
-    if divisor.is_zero:  # nothing lies below 0, so every check would pass vacuously
-        raise ScopeError("dim|L| = 0: conditions A1-A3 need a nonzero class")
+    refuse_zero_class(divisor)  # before --ample is read
     if ample_text is not None:
         ample = parse_divisor(surface, ample_text)
         if not is_very_ample(surface, ample):

@@ -35,7 +35,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .cohom import h0_class, linear_system_dim
-from .errors import EnumerationCapError, UnsupportedBranchError
+from .errors import EnumerationCapError, ScopeError, UnsupportedBranchError
 from .picard import (
     DivisorClass,
     Surface,
@@ -57,6 +57,7 @@ __all__ = [
     "enumerate_decompositions",
     "default_very_ample",
     "is_very_ample",
+    "refuse_zero_class",
     "check_a1",
     "check_a2",
     "check_a3",
@@ -264,12 +265,19 @@ def is_very_ample(surface: Surface, h: DivisorClass) -> bool:
     raise UnsupportedBranchError("very-ampleness on blowups is outside the verified scope")
 
 
+def refuse_zero_class(L: DivisorClass) -> None:
+    """Nothing lies below the zero class, so A1-A3 would pass on it vacuously."""
+    if L.is_zero:
+        raise ScopeError("dim|L| = 0: conditions A1-A3 need a nonzero class")
+
+
 def check_a1(surface: Surface, L: DivisorClass, h: DivisorClass) -> ConditionReport:
     """Every nonzero effective L' <= L has L'.(K+H) < 0, with the F_1 exception.
 
     On F_1 the rigid section classes G and 2G are permitted even though they
-    pair to zero.  Raises on blowups and on non-very-ample H.
+    pair to zero.  Raises on the zero class, on blowups and on non-very-ample H.
     """
+    refuse_zero_class(L)
     if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
         raise UnsupportedBranchError("condition A1 is not defined on blowup surfaces here")
     if not is_very_ample(surface, h):
@@ -291,6 +299,7 @@ def check_a1(surface: Surface, L: DivisorClass, h: DivisorClass) -> ConditionRep
 
 def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     """Sub-class genus test plus the decomposition dimension inequality."""
+    refuse_zero_class(L)
     below = enumerate_effective_below(surface, L)
     genus = {d.coeffs: arithmetic_genus(surface, d) for d in below}
     rows: list[Row] = []
@@ -339,6 +348,7 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
     against dim|L|; the class must have positive genus and the base-point-free
     marker for smooth connected members to exist.
     """
+    refuse_zero_class(L)
     dim_l = linear_system_dim(surface, L)
     g_l = arithmetic_genus(surface, L)
     rows: list[Row] = []

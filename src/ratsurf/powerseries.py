@@ -3,16 +3,20 @@
 The one nontrivial operation is expanding a rational generating function
 num(t) / (1-t)^(l+1): the coefficient of t^n is
 
-    sum_k num[k] * C(n-k+l, l)   over 0 <= k <= n,
+    sum_k num[k] * C(n-k+l, l)   over 0 <= k <= n.
 
-computed term by term with exact binomials, so there is no error
-accumulation and no truncated division.
+Dividing a series by 1-t replaces its coefficients by their running sums, so
+`expand_rational_gf` takes l+1 exact running-sum passes over the numerator
+truncated at t^trunc; `gf_coefficient` evaluates the sum above term by term
+with exact binomials and is its independent oracle.  Both stay in Python
+integers, so there is no error accumulation and no truncated division.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "Polynomial",
@@ -65,10 +69,14 @@ def binom_polynomial(x: int, k: int) -> int:
     return q
 
 
-def gf_coefficient(numerator: Polynomial, l: int, n: int) -> int:
-    """Coefficient of t^n in numerator / (1-t)^(l+1); zero for n < 0."""
+def _check_exponent(l: int) -> None:
     if l < 0:
         raise ValueError(f"denominator exponent parameter must be >= 0, got {l}")
+
+
+def gf_coefficient(numerator: Polynomial, l: int, n: int) -> int:
+    """Coefficient of t^n in numerator / (1-t)^(l+1); zero for n < 0."""
+    _check_exponent(l)
     if n < 0:
         return 0
     return sum(
@@ -98,10 +106,15 @@ class SeriesCoefficients:
 
 
 def expand_rational_gf(numerator: Polynomial, l: int, trunc: int) -> SeriesCoefficients:
-    """Expand numerator / (1-t)^(l+1) through t^trunc."""
-    return SeriesCoefficients(
-        trunc, tuple(gf_coefficient(numerator, l, n) for n in range(trunc + 1))
-    )
+    """Expand numerator / (1-t)^(l+1) through t^trunc by l+1 exact running-sum
+    passes over the truncated numerator: O((l+1) * trunc) integer additions."""
+    if trunc < 0:
+        raise ValueError(f"truncation order must be >= 0, got {trunc}")
+    _check_exponent(l)
+    coeffs = [numerator[k] for k in range(trunc + 1)]
+    for _ in range(l + 1):
+        coeffs = list(accumulate(coeffs))
+    return SeriesCoefficients(trunc, tuple(coeffs))
 
 
 def format_polynomial(p: Polynomial, var: str = "t") -> str:

@@ -14,23 +14,29 @@ line-bundle twists on P^l.  A twist O(t)^m with t <= 0 contributes
 m t^(-t) / (1-t)^(l+1), so the numerator of Z^r(t) is the sum of m t^(-t)
 over the splitting.
 
-`_SPLITTINGS` is the one place a splitting is written: per branch, the
-summands at power r, the increment power r+1 adds, the expected rank r^g and
-the provenance a report prints.  At r = 1 the pushforward is O on every
-supported class.  The numerator, the rank and step checks and the CLI read
-the table; the paper's closed-form numerators are a test oracle for it.  For
-other positive-genus classes with r >= 2 the pushforward is only known to be
-torsion-free (locally free over the integral locus), so the library refuses
-rather than extrapolates.
+`_SPLITTINGS` is the one place a splitting is written.  Per branch it holds
+the head, the splitting at the lowest tabulated power; the block each further
+power adds (genus 1 adds O(-i), genus 2 adds O(-i)^(i+1) + O(-i-1)^(i-2));
+the increment power r+1 adds to power r, written apart from the blocks; the
+expected rank r^g; and the provenance a report prints.  The summands at power
+r are the head plus the blocks up to r.  At r = 1 the pushforward is O on
+every supported class.  The numerator, the rank and step checks and the CLI
+read the table; the paper's closed-form numerators are a test oracle for it.
+For other positive-genus classes with r >= 2 the pushforward is only known to
+be torsion-free (locally free over the integral locus), so the library
+refuses rather than extrapolates.
 
 `ThetaSeries` holds the splitting, the numerator and three columns for
-n = 0..trunc: `h0` expands the numerator with exact binomials; `summed` adds,
+n = 0..trunc: `h0` expands the numerator by exact running sums; `summed` adds,
 per twist t, one column of h^0(P^l, O(j)) at every n with n + t >= 0; `chi`,
-a polynomial of degree l in n, is summed over the splitting at n = 0..l and
-extended through its vanishing (l+1)-th difference.  The two h0 routes stay
-independent (the numerator and `powerseries` against the summands and
-`cohom`), so a slip in either shows as a mismatch.  The increments are
-written apart from the summands, so the step check catches a slip in either.
+a polynomial of degree l in n, is summed over the splitting at n = 0..l from
+one binomial per argument and extended through its vanishing (l+1)-th
+difference.  The two h0 routes stay independent (the numerator and
+`powerseries` against the summands and `cohom`), so a slip in either shows as
+a mismatch.  Because power s+1 is power s plus one block, the genus-2
+recursion walk compares the increment of each power s with the block of s+1:
+linear work up to r, and a slip in the increments or in the blocks shows at
+the first power it touches.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
 from .cohom import cohomology_hirzebruch, cohomology_projective_space, linear_system_dim
@@ -165,29 +172,40 @@ def theta_context(surface: Surface, L: DivisorClass) -> ThetaContext:
 
 
 class _Entry(NamedTuple):
-    summands: Callable[[int], list[tuple[int, int]]]  # at r >= 2; at r = 1 on GENUS_NONPOSITIVE
-    increment: Callable[[int], list[tuple[int, int]]]  # what power r+1 adds to power r
+    base: int  # the lowest tabulated power
+    head: tuple[tuple[int, int], ...]  # the splitting at power `base`
+    block: Callable[[int], list[tuple[int, int]]]  # what power i > base adds to power i-1
+    increment: Callable[[int], list[tuple[int, int]]]  # power r+1 over r, apart from `block`
     expected_rank: Callable[[int], int]
     provenance: str
+
+    def summands(self, r: int) -> list[tuple[int, int]]:
+        """The splitting at power r >= base: the head, then one block per further power."""
+        return [*self.head, *(p for i in range(self.base + 1, r + 1) for p in self.block(i))]
 
 
 #: The one place each verified splitting of pi_* theta^r is written.
 _SPLITTINGS = {
     Branch.GENUS_NONPOSITIVE: _Entry(
-        lambda r: [(0, 1)],
+        1,
+        ((0, 1),),
+        lambda i: [],
         lambda r: [],
         lambda r: 1,
         "trivial pushforward: the moduli space is the linear system",
     ),
     Branch.GENUS_ONE: _Entry(
-        lambda r: [(0, 1)] + [(-i, 1) for i in range(2, r + 1)],
+        1,
+        ((0, 1),),
+        lambda i: [(-i, 1)],
         lambda r: [(-(r + 1), 1)],
         lambda r: r,
         "genus-1 splitting: twists 0, -2 .. -r",
     ),
     Branch.GENUS_TWO: _Entry(
-        lambda r: [(0, 1), (-2, 3)]
-        + [p for i in range(3, r + 1) for p in ((-i, i + 1), (-i - 1, i - 2))],
+        2,
+        ((0, 1), (-2, 3)),
+        lambda i: [(-i, i + 1), (-i - 1, i - 2)],
         lambda r: [(-(r + 1), r + 2), (-(r + 2), r - 1)],
         lambda r: r * r,
         "genus-2 splitting: 1 + 3t^2 block plus recursive twist blocks",
@@ -273,8 +291,16 @@ class ThetaSeries:
     @cached_property
     def chi(self) -> SeriesCoefficients:
         """chi from the splitting at n <= l, then by the vanishing (l+1)-th difference."""
-        l, trunc = self.ctx.l, self.trunc
-        chi = [self.split.bundle.euler_char(l, n) for n in range(min(trunc, l) + 1)]
+        l, trunc, summands = self.ctx.l, self.trunc, self.split.bundle.summands
+        seed = range(min(trunc, l) + 1)
+        # multiplicities by twist from the lowest up, and one binomial per
+        # argument n + t + l the seed meets: binom[i] is C(low + i + l, l)
+        low = summands[-1][0]
+        mults = [0] * (summands[0][0] - low + 1)
+        for t, m in summands:
+            mults[t - low] = m
+        binom = [binom_polynomial(x + l, l) for x in range(low, low + len(mults) + len(seed) - 1)]
+        chi = [sum(map(mul, mults, binom[n:])) for n in seed]
         weights = [(-1) ** (k + 1) * math.comb(l + 1, k) for k in range(1, l + 2)]
         for n in range(l + 1, trunc + 1):
             chi.append(sum(w * chi[n - k] for k, w in enumerate(weights, 1)))
@@ -327,14 +353,16 @@ def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
 def recursion_failure_g2(top: int, start: int = 2) -> int | None:
     """First s in start..top (start >= 2) where the genus-2 splitting at power s
     plus the increment over the theta divisor, O(-s-1)^(s+2) + O(-s-2)^(s-1),
-    is not the one at power s+1, else None.  One running count walks the tower."""
+    is not the one at power s+1, else None.  Power s+1 is power s plus the
+    block of s+1, so the running difference of the walk, increments added
+    minus blocks added, is empty before the first failing step: each step
+    compares one increment with one block."""
     if start < 2:
         raise ValueError(f"recursion check needs r >= 2, got {start}")
     entry = _SPLITTINGS[Branch.GENUS_TWO]
-    running = _add({}, entry.summands(start))
     for s in range(start, top + 1):
-        _add(running, entry.increment(s))
-        if running != _add({}, entry.summands(s + 1)):
+        difference = _add(_add({}, entry.increment(s)), [(t, -m) for t, m in entry.block(s + 1)])
+        if any(difference.values()):
             return s
     return None
 

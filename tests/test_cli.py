@@ -239,6 +239,12 @@ def test_exit_code_3_on_zero_class_conditions(capsys):
             assert code == 3, argv
             assert out == ""
             assert err.startswith("error: dim|L| = 0: conditions A1-A3 need a nonzero class")
+    # the zero class is refused before --ample is read, so a bad --ample is not named
+    for ample in ("0", "2X", "-H"):
+        argv = ["conditions", "--surface", "p2", "--class", "0", f"--ample={ample}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: dim|L| = 0: conditions A1-A3 need a nonzero class")
 
 
 def test_exit_code_2_on_r_cap(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from ratsurf import (
     ConditionReport,
     Decomposition,
     EnumerationCapError,
+    ScopeError,
     UnsupportedBranchError,
     blowup_hirzebruch,
     check_a1,
@@ -313,6 +314,21 @@ def test_conditions_pass_on_all_example_classes():
         assert check_a1(surface, L, ample).passed
         assert check_a2(surface, L).passed
         assert check_a3(surface, L).passed
+
+
+def test_conditions_refuse_the_zero_class():
+    # nothing lies below 0, so every row would pass vacuously; the refusal
+    # comes before the blowup and very-ampleness refusals of A1
+    message = r"^dim\|L\| = 0: conditions A1-A3 need a nonzero class$"
+    for surface in (P2, F0, F1, blowup_hirzebruch(0)):
+        zero = divisor(*[0] * len(surface.basis))
+        for check in (
+            lambda: check_a1(surface, zero, zero),
+            lambda: check_a2(surface, zero),
+            lambda: check_a3(surface, zero),
+        ):
+            with pytest.raises(ScopeError, match=message):
+                check()
 
 
 def test_describe_prints_classes_and_decompositions():

@@ -129,11 +129,29 @@ def test_nonnegative_numerators_give_nonnegative_series(coeffs, l):
 
 
 def test_gf_coefficient_matches_expansion():
-    num = polynomial([1, 0, 3, 4, 1])
-    series = expand_rational_gf(num, 11, 30)
-    for n in range(31):
-        assert gf_coefficient(num, 11, n) == series[n]
-    assert gf_coefficient(num, 11, -3) == 0
+    # gf_coefficient, term by term, is the oracle for the running sums:
+    # numerator degree above, equal to and below trunc; l = 0; the zero numerator
+    for num in (polynomial([1, 0, 3, 4, 1]), polynomial([3, 0, -2, 5, 1, 0, 7]), polynomial([])):
+        for l in (0, 1, 4, 11):
+            for trunc in (0, 1, num.degree, num.degree + 1, 30):
+                if trunc < 0:
+                    continue
+                series = expand_rational_gf(num, l, trunc)
+                for n in range(trunc + 1):
+                    assert gf_coefficient(num, l, n) == series[n], (num, l, trunc, n)
+    assert gf_coefficient(polynomial([1, 0, 3, 4, 1]), 11, -3) == 0
+
+
+def test_expand_refuses_negative_orders():
+    num = polynomial([1, 2])
+    with pytest.raises(ValueError, match="denominator exponent parameter must be >= 0"):
+        expand_rational_gf(num, -1, 5)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        expand_rational_gf(num, 3, -1)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        expand_rational_gf(num, -1, -1)
+    with pytest.raises(ValueError, match="denominator exponent parameter must be >= 0"):
+        gf_coefficient(num, -1, 2)
 
 
 def test_format_polynomial():

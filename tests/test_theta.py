@@ -1,6 +1,7 @@
 """Pushforward splittings, section-count series, and their cross-checks."""
 
 import contextlib
+import functools
 import io
 import math
 
@@ -218,7 +219,7 @@ def test_series_columns_equal_the_sums_over_every_summand():
             gb = pushforward_decomposition(ctx, r)
             chi = [sum(m * binom[n + t + l] for t, m in gb.summands) for n in range(201)]
             summed = [sum(m * h0[n + t] for t, m in gb.summands) for n in range(201)]
-            for trunc in (0, l, l + 1, 200):
+            for trunc in (0, 1, l - 1, l, l + 1, 200):
                 series = ThetaSeries(ctx, r, trunc)
                 assert series.chi.coeffs == tuple(chi[: trunc + 1]), (ctx.L, r, trunc)
                 assert series.summed.coeffs == tuple(summed[: trunc + 1]), (ctx.L, r, trunc)
@@ -226,6 +227,29 @@ def test_series_columns_equal_the_sums_over_every_summand():
         assert [gb.euler_char(l, n) for n in (0, l, l + 1, 200)] == [
             chi[n] for n in (0, l, l + 1, 200)
         ]
+
+
+def test_chi_seed_edges():
+    # the rigid class (l = 0) at every power, and a splitting with gaps between
+    # its twists, against GradedBundle.euler_char at each n, for trunc below,
+    # at and above l
+    rigid = theta_context(F1, divisor(1, 0))
+    assert rigid.l == 0
+    for r in (1, 2, 7):
+        for trunc in (0, 1, 9):
+            assert ThetaSeries(rigid, r, trunc).chi.coeffs == (1,) * (trunc + 1)
+    gapped = GradedBundle(((0, 2), (-3, 5), (-9, 1)))
+    for ctx in (CTX_CUBIC, CTX_G2_F1, rigid):
+        for trunc in (0, 1, ctx.l - 1, ctx.l, ctx.l + 1, 40):
+            if trunc < 0:
+                continue
+            series = ThetaSeries(ctx, 2, trunc)
+            series.split = series.split._replace(bundle=gapped)
+            expected = tuple(gapped.euler_char(ctx.l, n) for n in range(trunc + 1))
+            assert series.chi.coeffs == expected, (ctx.L, trunc)
+    for ctx in (CTX_CUBIC, rigid):
+        with pytest.raises(ValueError, match="truncation order"):
+            ThetaSeries(ctx, 3, -1).chi
 
 
 def test_theta_series_views_and_refusals():
@@ -269,6 +293,7 @@ def test_report_columns_cost_linear_work(monkeypatch):
     twists = len(pushforward_decomposition(CTX_G2_F1, 500).summands)
     assert twists == 501
     assert 0 < calls["binom"] <= (CTX_G2_F1.l + 1) * twists
+    assert calls["binom"] <= twists + CTX_G2_F1.l + 1  # one per argument of the chi seed
     assert 0 < calls["h0"] <= 201
 
 
@@ -339,25 +364,75 @@ def test_recursion_examples():
 
 
 def test_recursion_walk_reports_the_first_bad_step(monkeypatch, capsys):
+    # a slip in the increments or in the blocks from power bad on: the walk,
+    # the one-step check and the CLI witness each name bad
     assert recursion_failure_g2(500) is None
     entry = ratsurf.theta._SPLITTINGS[Branch.GENUS_TWO]
-    for bad in (2, 3, 17, 499):
 
-        def increment(r, bad=bad):
-            (t1, m1), (t2, m2) = entry.increment(r)
-            return [(t1, m1), (t2, m2 + (r >= bad))]
+    def increment(r, bad):  # power r+1 over power r, wrong once r >= bad
+        (t1, m1), (t2, m2) = entry.increment(r)
+        return [(t1, m1), (t2, m2 + (r >= bad))]
 
-        monkeypatch.setitem(
-            ratsurf.theta._SPLITTINGS, Branch.GENUS_TWO, entry._replace(increment=increment)
-        )
-        assert recursion_failure_g2(500) == bad
-        assert recursion_failure_g2(bad - 1) is None
-        assert not recursion_check_g2(bad)
-        if bad > 2:
-            assert recursion_check_g2(bad - 1)
-    code = main("report --surface f0 --class 2G+3F --r 600 --trunc 3".split())
-    assert code == 1
-    assert "  recursion: FAIL (fails at power 499)" in capsys.readouterr().out
+    def block(i, bad):  # power i over power i-1, wrong once i > bad
+        (t1, m1), (t2, m2) = entry.block(i)
+        return [(t1, m1 + (i > bad)), (t2, m2)]
+
+    for slip in (increment, block):
+        for bad in (2, 3, 17, 499):
+            monkeypatch.setitem(
+                ratsurf.theta._SPLITTINGS,
+                Branch.GENUS_TWO,
+                entry._replace(**{slip.__name__: functools.partial(slip, bad=bad)}),
+            )
+            assert recursion_failure_g2(500) == bad
+            assert recursion_failure_g2(bad - 1) is None
+            assert not recursion_check_g2(bad)
+            if bad > 2:
+                assert recursion_check_g2(bad - 1)
+            code = main("report --surface f0 --class 2G+3F --r 600 --trunc 3".split())
+            assert code == 1
+            assert f"  recursion: FAIL (fails at power {bad})" in capsys.readouterr().out
+
+
+def free_form_summands(branch, r):
+    """The tower splittings at r >= 2, each written as one expression: an
+    oracle for the table's head-plus-blocks form."""
+    if branch is Branch.GENUS_ONE:
+        return [(0, 1)] + [(-i, 1) for i in range(2, r + 1)]
+    return [(0, 1), (-2, 3)] + [
+        p for i in range(3, r + 1) for p in ((-i, i + 1), (-i - 1, i - 2))
+    ]
+
+
+def test_summands_are_the_head_plus_one_block_per_power():
+    for branch in (Branch.GENUS_ONE, Branch.GENUS_TWO):
+        entry = ratsurf.theta._SPLITTINGS[branch]
+        for r in range(2, 1001):
+            assert entry.summands(r) == free_form_summands(branch, r), (branch, r)
+
+
+def test_recursion_walk_costs_linear_work(monkeypatch):
+    # one increment and one block per power: counted calls, not time
+    entry = ratsurf.theta._SPLITTINGS[Branch.GENUS_TWO]
+    calls = {"increment": 0, "block": 0}
+
+    def counted(name):
+        fn = getattr(entry, name)
+
+        def wrapper(r):
+            calls[name] += 1
+            return fn(r)
+
+        return wrapper
+
+    monkeypatch.setitem(
+        ratsurf.theta._SPLITTINGS,
+        Branch.GENUS_TWO,
+        entry._replace(increment=counted("increment"), block=counted("block")),
+    )
+    assert recursion_failure_g2(1000) is None
+    assert 0 < calls["increment"] <= 1000
+    assert 0 < calls["block"] <= 1000
 
 
 def test_sequence_additivity_genus_one():
