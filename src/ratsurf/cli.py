@@ -14,12 +14,17 @@ or configuration error, 3 unsupported branch or out-of-scope input (a rigid
 class with dim|L| = 0 included), 4 decomposition cap exceeded, 5 internal
 invariant failed (a bug; one line on stderr).  `--trunc` above its cap
 (default 200) and `--r` above its cap (default 1000) exit 2; the
-RATSURF_MAX_TRUNC and RATSURF_MAX_R environment variables override the caps.
+RATSURF_MAX_TRUNC and RATSURF_MAX_R environment variables override the caps,
+and are read on every call.
+
+The parser is built once per process and reused by every `main` call, so a
+caller running many commands in one process pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,7 +88,10 @@ def _cap(env_name: str, default: int) -> int:
     return cap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parsing keeps no state in it, so one process builds it once."""
     parser = argparse.ArgumentParser(
         prog="ratsurf",
         description=(

@@ -20,21 +20,26 @@ power adds (genus 1 adds O(-i), genus 2 adds O(-i)^(i+1) + O(-i-1)^(i-2));
 the increment power r+1 adds to power r, written apart from the blocks; the
 expected rank r^g; and the provenance a report prints.  The summands at power
 r are the head plus the blocks up to r.  At r = 1 the pushforward is O on
-every supported class.  The numerator, the rank and step checks and the CLI
-read the table; the paper's closed-form numerators are a test oracle for it.
-For other positive-genus classes with r >= 2 the pushforward is only known to
-be torsion-free (locally free over the integral locus), so the library
-refuses rather than extrapolates.
+every class of a verified family.  The numerator, the rank and step checks
+and the CLI read the table; the paper's closed-form numerators are a test
+oracle for it.  For the other positive-genus classes of those families with
+r >= 2 the pushforward is only known to be torsion-free (locally free over
+the integral locus), so the library refuses rather than extrapolates; a class
+outside every verified family is refused at every power, r = 1 included.
 
 `ThetaSeries` holds the splitting, the numerator and three columns for
-n = 0..trunc: `h0` expands the numerator by exact running sums; `summed` adds,
-per twist t, one column of h^0(P^l, O(j)) at every n with n + t >= 0; `chi`,
-a polynomial of degree l in n, is summed over the splitting at n = 0..l from
-one binomial per argument and extended through its vanishing (l+1)-th
-difference.  The two h0 routes stay independent (the numerator and
-`powerseries` against the summands and `cohom`), so a slip in either shows as
-a mismatch.  Because power s+1 is power s plus one block, the genus-2
-recursion walk compares the increment of each power s with the block of s+1:
+n = 0..trunc: `h0` expands the numerator by exact running sums; `summed`
+reads h^0(P^l, O(j)) once per degree j <= trunc and the multiplicities into a
+dense list indexed by -t (twists below -trunc have no sections there), and
+takes coefficient n as one C-level `sum(map(mul, ...))` pairing the twists
+0, -1, .. with the degrees n, n-1, ..; `chi`, a polynomial of degree l in n,
+is summed over the splitting at n = 0..l from one binomial per argument and
+extended past l through its vanishing (l+1)-th difference, one
+`sum(map(mul, ...))` of the l+1 previous values per n.  The two h0
+routes stay independent (the numerator and `powerseries` against the
+summands and `cohom`), so a slip in either shows as a mismatch.  Because
+power s+1 is power s plus one block, the genus-2 recursion walk compares the
+increment of each power s with the block of s+1 in one merge per power:
 linear work up to r, and a slip in the increments or in the blocks shows at
 the first power it touches.
 """
@@ -225,13 +230,14 @@ class ThetaSplitting(NamedTuple):
 def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
     """Look up the splitting of pi_* theta^r on a branch.
 
-    At r = 1 the pushforward is O on every class, in a verified family or
-    not; at r >= 2 a branch outside the table is refused.
+    At r = 1 the pushforward is O on every class of a verified family, the
+    positive-genus family beyond the table included; at r >= 2 that family is
+    refused, and a class outside every verified family is refused at every r.
     """
     if r < 1:
         raise ValueError(f"theta power must be >= 1, got {r}")
     entry = _SPLITTINGS.get(branch)
-    if r == 1 and branch is not Branch.GENUS_NONPOSITIVE:
+    if r == 1 and branch not in (Branch.GENUS_NONPOSITIVE, Branch.UNSUPPORTED):
         return ThetaSplitting(
             GradedBundle(((0, 1),)),
             tuple(entry.increment(1)) if entry else None,
@@ -239,11 +245,15 @@ def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
             "rank-one pushforward: structure sheaf of the linear system",
         )
     if entry is None:
+        reason = (
+            "for powers r >= 2 on this class the pushforward of theta^r is only known to be "
+            "torsion-free on the linear system (locally free just over the integral locus)"
+            if r >= 2
+            else "the class lies outside every verified family"
+        )
         raise UnsupportedBranchError(
-            f"no closed-form numerator for branch {branch.value} at power {r}: for powers "
-            "r >= 2 on this class the pushforward of theta^r is only known to be torsion-free "
-            "on the linear system (locally free just over the integral locus); no splitting "
-            "into line-bundle twists is available"
+            f"no closed-form numerator for branch {branch.value} at power {r}: {reason}; "
+            "no splitting into line-bundle twists is available"
         )
     return ThetaSplitting(
         GradedBundle.from_summands(entry.summands(r)),
@@ -301,9 +311,10 @@ class ThetaSeries:
             mults[t - low] = m
         binom = [binom_polynomial(x + l, l) for x in range(low, low + len(mults) + len(seed) - 1)]
         chi = [sum(map(mul, mults, binom[n:])) for n in seed]
-        weights = [(-1) ** (k + 1) * math.comb(l + 1, k) for k in range(1, l + 2)]
+        # chi(n) = sum_{k=1..l+1} (-1)^(k+1) C(l+1, k) chi(n-k), weights[i] for k = l+1-i
+        weights = [(-1) ** (k + 1) * math.comb(l + 1, k) for k in range(l + 1, 0, -1)]
         for n in range(l + 1, trunc + 1):
-            chi.append(sum(w * chi[n - k] for k, w in enumerate(weights, 1)))
+            chi.append(sum(map(mul, weights, chi[n - l - 1 : n])))
         return SeriesCoefficients(trunc, tuple(chi))
 
 
@@ -313,7 +324,8 @@ def z_series(ctx: ThetaContext, r: int, trunc: int) -> SeriesCoefficients:
 
 
 def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoefficients:
-    """Same series computed summand by summand via h^0 on P^l (cross-check route)."""
+    """Same series computed summand by summand via h^0 on P^l (cross-check route):
+    coefficient n is the sum of m h^0(P^l, O(n+t)) over the twists with -t <= n."""
     if trunc < 0:
         raise ValueError(f"truncation order must be >= 0, got {trunc}")
     if l < 1:
@@ -321,12 +333,18 @@ def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoeffici
             f"dim|L| = {l}: the summand-by-summand series needs a linear system of "
             "dimension >= 1; rigid classes are outside the verified scope"
         )
-    h0 = [cohomology_projective_space(l, j).h0 for j in range(trunc + 1)]
-    coeffs = [0] * (trunc + 1)
+    # h^0(O(j)) from j = trunc down, and the multiplicity of each twist t >= -trunc
+    # by -t; coefficient n pairs the twists 0, -1, .. with the degrees n, n-1, ..
+    h0 = [cohomology_projective_space(l, j).h0 for j in range(trunc, -1, -1)]
+    mults = [0] * (min(trunc, -gb.summands[-1][0]) + 1 if gb.summands else 0)
     for t, m in gb.summands:
-        for n in range(-t, trunc + 1):
-            coeffs[n] += m * h0[n + t]
-    return SeriesCoefficients(trunc, tuple(coeffs))
+        if -t <= trunc:
+            mults[-t] = m
+    width = len(mults)
+    return SeriesCoefficients(
+        trunc,
+        tuple([sum(map(mul, mults, h0[trunc - n : trunc - n + width])) for n in range(trunc + 1)]),
+    )
 
 
 def h0_lambda(ctx: ThetaContext, r: int, n: int) -> int:

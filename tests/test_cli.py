@@ -1,5 +1,6 @@
 """CLI behavior: formats, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -189,6 +190,25 @@ def test_exit_code_3_on_unsupported_branch(capsys):
     assert "torsion-free" in err
 
 
+def test_exit_code_3_on_unsupported_class_at_first_power(capsys):
+    # a class outside every verified family is refused at r = 1 too
+    for surface, cls in (("f2", "2G+6F"), ("f0b", "2G+3F-E")):
+        for command in ("zseries", "report"):
+            code, out, err = run_cli(
+                capsys, command, "--surface", surface, "--class", cls, "--r", "1"
+            )
+            assert code == 3
+            assert out == ""
+            assert err.startswith(
+                "error: no closed-form numerator for branch Unsupported at power 1: "
+            )
+            assert "r >= 2" not in err
+    # the positive-genus family keeps its first power
+    code, out, _ = run_cli(capsys, "zseries", "--surface", "p2", "--class", "4H", "--r", "1")
+    assert code == 0
+    assert "rank-one pushforward" in out
+
+
 def test_exit_code_3_on_blowup_scope(capsys):
     code, _, err = run_cli(capsys, "cohom", "--surface", "f0b", "--class", "4F-2E")
     assert code == 3
@@ -299,3 +319,55 @@ def test_cli_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "2,55,55"
+
+
+# one parse error, --help, zseries (its checks come from set_defaults), a
+# report with the default checks and conditions with --ample
+REUSE_OPS = [
+    ["report", "--surface", "p2"],
+    ["--help"],
+    ["zseries", "--surface", "p2", "--class", "3H", "--r", "2", "--trunc", "5"],
+    ["report", "--surface", "f1", "--class", "2G+4F", "--r", "3", "--trunc", "6"],
+    ["conditions", "--surface", "p2", "--class", "3H", "--ample", "2H"],
+]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # each op gives the same rc, stdout and stderr after the others, in either
+    # order, as alone with a parser of its own
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = []
+    for argv in REUSE_OPS:
+        ratsurf.cli.build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert [result[0] for result in alone] == [2, 0, 0, 0, 0]
+    assert "usage: ratsurf report" in alone[0][2] and "usage: ratsurf" in alone[1][1]
+    ratsurf.cli.build_parser.cache_clear()
+    for order in (range(len(REUSE_OPS)), reversed(range(len(REUSE_OPS)))):
+        for i in order:
+            assert run_cli(capsys, *REUSE_OPS[i]) == alone[i], REUSE_OPS[i]
+    assert ratsurf.cli.build_parser.cache_info().misses == 1
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    # parsers constructed (the top parser and its subparsers) over N calls
+    built = {"parsers": 0}
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    ratsurf.cli.build_parser.cache_clear()
+    try:
+        ratsurf.cli.build_parser()
+        one_build = built["parsers"]
+        assert one_build == 1 + len(ratsurf.cli._DISPATCH)
+        ratsurf.cli.build_parser.cache_clear()
+        built["parsers"] = 0
+        for _ in range(20):
+            run_cli(capsys, *REUSE_OPS[2])
+        assert built["parsers"] == one_build
+    finally:
+        ratsurf.cli.build_parser.cache_clear()

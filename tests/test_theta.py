@@ -1,11 +1,14 @@
 """Pushforward splittings, section-count series, and their cross-checks."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratsurf.theta
 from ratsurf import (
@@ -52,7 +55,9 @@ TOWER = [CTX_CUBIC, CTX_G1_F0, theta_context(F1, divisor(2, 3)), CTX_G2_F0, CTX_
 
 # branch -> genus of the branches with a splitting at every power
 SPLIT_BRANCHES = {Branch.GENUS_NONPOSITIVE: 0, Branch.GENUS_ONE: 1, Branch.GENUS_TWO: 2}
-FIRST_POWER_ONLY = (Branch.POSITIVE_GENUS_GENERAL, Branch.UNSUPPORTED)
+FIRST_POWER_ONLY = (Branch.POSITIVE_GENUS_GENERAL,)
+# a class outside every verified family has no splitting at any power
+REFUSED = Branch.UNSUPPORTED
 
 
 def paper_numerator(branch, r):
@@ -114,6 +119,9 @@ def test_rank_is_power_of_genus():
             assert theta_splitting(branch, r).expected_rank == r**genus
     for branch in FIRST_POWER_ONLY:
         assert theta_splitting(branch, 1).expected_rank == 1
+    for r in (1, 2):
+        with pytest.raises(UnsupportedBranchError, match=f"at power {r}: "):
+            theta_splitting(REFUSED, r)
 
 
 def test_unsupported_powers_raise():
@@ -124,9 +132,15 @@ def test_unsupported_powers_raise():
     # an effective class outside every verified family
     ctx = theta_context(hirzebruch(2), divisor(2, 7))
     assert ctx.branch == Branch.UNSUPPORTED
-    assert pushforward_decomposition(ctx, 1).summands == ((0, 1),)
-    with pytest.raises(UnsupportedBranchError):
-        pushforward_decomposition(ctx, 2)
+    for r in (1, 2):
+        with pytest.raises(UnsupportedBranchError, match="no splitting into line-bundle"):
+            pushforward_decomposition(ctx, r)
+    # the refusal at power 1 does not speak of powers r >= 2
+    with pytest.raises(UnsupportedBranchError) as refusal:
+        z_series(ctx, 1, 5)
+    assert "at power 1: " in str(refusal.value) and "r >= 2" not in str(refusal.value)
+    # the positive-genus family keeps its first power
+    assert pushforward_decomposition(CTX_QUARTIC, 1).summands == ((0, 1),)
 
 
 def test_graded_bundle_validation():
@@ -170,6 +184,10 @@ def test_numerator_read_off_the_splitting_matches_the_paper():
         assert series_numerator(branch, 1) == paper_numerator(branch, 1)
         with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*torsion-free"):
             series_numerator(branch, 2)
+    with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*outside every"):
+        series_numerator(REFUSED, 1)
+    with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*torsion-free"):
+        series_numerator(REFUSED, 2)
     assert GradedBundle(()).numerator() == polynomial([])
     # O(t)^m contributes m t^(-t), whatever the gaps between twists
     assert GradedBundle(((0, 2), (-3, 5))).numerator().coeffs == (2, 0, 0, 5)
@@ -182,6 +200,8 @@ def test_step_increments_grow_the_splitting():
             assert step.bundle.union(step.increment) == theta_splitting(branch, r + 1).bundle
     for branch in FIRST_POWER_ONLY:
         assert theta_splitting(branch, 1).increment is None
+    with pytest.raises(UnsupportedBranchError):
+        theta_splitting(REFUSED, 1)
 
 
 def test_z_from_decomposition_examples():
@@ -250,6 +270,43 @@ def test_chi_seed_edges():
     for ctx in (CTX_CUBIC, rigid):
         with pytest.raises(ValueError, match="truncation order"):
             ThetaSeries(ctx, 3, -1).chi
+
+
+def summand_double_loop(gb, l, trunc):
+    """The summand route written as a double loop over (twist, n) with
+    n + t >= 0: an oracle for `z_from_decomposition`."""
+    h0 = [cohomology_projective_space(l, j).h0 for j in range(trunc + 1)]
+    coeffs = [0] * (trunc + 1)
+    for t, m in gb.summands:
+        for n in range(-t, trunc + 1):
+            coeffs[n] += m * h0[n + t]
+    return tuple(coeffs)
+
+
+@st.composite
+def bundles_and_orders(draw):
+    """A bundle on P^l, l in 1..12, whose twists leave gaps and may reach below
+    -trunc, with trunc at 0, l-1, l, l+1 or anywhere in 0..40."""
+    l = draw(st.integers(1, 12))
+    trunc = draw(st.one_of(st.sampled_from([0, l - 1, l, l + 1]), st.integers(0, 40)))
+    pairs = draw(st.dictionaries(st.integers(-60, 0), st.integers(1, 9), min_size=1, max_size=8))
+    return GradedBundle.from_summands(pairs.items()), l, trunc
+
+
+@settings(max_examples=200, derandomize=True)
+@given(bundles_and_orders())
+def test_summand_route_matches_the_double_loop(case):
+    gb, l, trunc = case
+    assert z_from_decomposition(gb, l, trunc).coeffs == summand_double_loop(gb, l, trunc)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(bundles_and_orders())
+def test_chi_column_is_the_euler_characteristic_at_every_n(case):
+    gb, l, trunc = case
+    series = ThetaSeries(dataclasses.replace(CTX_CUBIC, l=l), 2, trunc)
+    series.split = series.split._replace(bundle=gb)
+    assert series.chi.coeffs == tuple(gb.euler_char(l, n) for n in range(trunc + 1))
 
 
 def test_theta_series_views_and_refusals():
