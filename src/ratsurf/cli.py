@@ -63,8 +63,7 @@ from .powerseries import format_polynomial
 from .theta import (
     ThetaSeries,
     dualizing_twist,
-    pushforward_decomposition,
-    recursion_failure_g2,
+    step_failure,
     theta_context,
     verify_genus2_cohomology,
 )
@@ -75,6 +74,8 @@ ALL_CHECKS = ("conditions", "zseries", "invariants", "g2cohom", "dualizing")
 DEFAULT_CHECKS = ("zseries", "invariants")
 
 _DETAIL_DISPLAY_LIMIT = 50
+# per tower branch, the `invariants` entry for `step_failure`: power s plus its increment is s+1
+_STEP_CHECKS = {Branch.GENUS_ONE: "sequence-additivity", Branch.GENUS_TWO: "recursion"}
 
 
 def _cap(env_name: str, default: int) -> int:
@@ -324,17 +325,13 @@ def _run_checks(series: ThetaSeries, checks: tuple[str, ...], ample_text: str | 
                 gb.rank == expected,
                 None if gb.rank == expected else f"rank {gb.rank} != {expected}",
             )
-            if ctx.branch is Branch.GENUS_ONE:
-                stepped = gb.union(series.split.increment)
-                grown = pushforward_decomposition(ctx, r + 1)
+            if ctx.branch in _STEP_CHECKS:
+                bad = step_failure(ctx.branch, max(2, r))
                 add(
-                    "sequence-additivity",
-                    stepped == grown,
-                    None if stepped == grown else grown.describe(),
+                    _STEP_CHECKS[ctx.branch],
+                    bad is None,
+                    None if bad is None else f"fails at power {bad}",
                 )
-            if ctx.branch is Branch.GENUS_TWO:
-                bad = recursion_failure_g2(max(2, r))
-                add("recursion", bad is None, None if bad is None else f"fails at power {bad}")
             h0, chi = series.h0, series.chi
             add_first(
                 "no-higher-cohomology",

@@ -17,15 +17,16 @@ over the splitting.
 `_SPLITTINGS` is the one place a splitting is written.  Per branch it holds
 the head, the splitting at the lowest tabulated power; the block each further
 power adds (genus 1 adds O(-i), genus 2 adds O(-i)^(i+1) + O(-i-1)^(i-2));
-the increment power r+1 adds to power r, written apart from the blocks; the
-expected rank r^g; and the provenance a report prints.  The summands at power
-r are the head plus the blocks up to r.  At r = 1 the pushforward is O on
-every class of a verified family.  The numerator, the rank and step checks
-and the CLI read the table; the paper's closed-form numerators are a test
-oracle for it.  For the other positive-genus classes of those families with
-r >= 2 the pushforward is only known to be torsion-free (locally free over
-the integral locus), so the library refuses rather than extrapolates; a class
-outside every verified family is refused at every power, r = 1 included.
+the increment power r+1 adds to power r, the twist along the theta divisor,
+written apart from the blocks; the expected rank r^g; and the provenance a
+report prints.  The summands at power r are the head plus the blocks up to r.
+At r = 1 the pushforward is O on every class of a verified family.  The
+numerator, the rank and step checks and the CLI read the table; the paper's
+closed-form numerators are a test oracle for it.  For the other
+positive-genus classes of those families with r >= 2 the pushforward is only
+known to be torsion-free (locally free over the integral locus), so the
+library refuses rather than extrapolates; a class outside every verified
+family is refused at every power, r = 1 included.
 
 `ThetaSeries` holds the splitting, the numerator and three columns for
 n = 0..trunc: `h0` expands the numerator by exact running sums; `summed`
@@ -38,10 +39,11 @@ extended past l through its vanishing (l+1)-th difference, one
 `sum(map(mul, ...))` of the l+1 previous values per n.  The two h0
 routes stay independent (the numerator and `powerseries` against the
 summands and `cohom`), so a slip in either shows as a mismatch.  Because
-power s+1 is power s plus one block, the genus-2 recursion walk compares the
-increment of each power s with the block of s+1 in one merge per power:
-linear work up to r, and a slip in the increments or in the blocks shows at
-the first power it touches.
+power s+1 is power s plus one block, `step_failure` checks every tabulated
+branch (the genus-1 sequence additivity and the genus-2 recursion alike) by
+comparing the increment of each power s with the block of s+1: linear work
+up to r, and a slip in the increments or in the blocks shows at the first
+power it touches.
 """
 
 from __future__ import annotations
@@ -88,17 +90,10 @@ __all__ = [
     "euler_char_lambda",
     "higher_cohomology_vanishes",
     "recursion_check_g2",
-    "recursion_failure_g2",
+    "step_failure",
     "dualizing_twist",
     "verify_genus2_cohomology",
 ]
-
-
-def _add(merged: dict[int, int], pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Add (twist, multiplicity) pairs into the twist -> multiplicity map `merged`."""
-    for twist, mult in pairs:
-        merged[twist] = merged.get(twist, 0) + mult
-    return merged
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,9 @@ class GradedBundle:
 
     @staticmethod
     def from_summands(pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
-        merged = _add({}, pairs)
+        merged: dict[int, int] = {}
+        for twist, mult in pairs:
+            merged[twist] = merged.get(twist, 0) + mult
         return GradedBundle(
             tuple((t, merged[t]) for t in sorted(merged, reverse=True) if merged[t])
         )
@@ -219,10 +216,11 @@ _SPLITTINGS = {
 
 
 class ThetaSplitting(NamedTuple):
-    """A branch's table entry at one power r."""
+    """A branch's splitting at one power r, the rank the table expects of it
+    and its provenance.  The step to power r+1 is read off the table itself
+    by `step_failure`."""
 
     bundle: GradedBundle
-    increment: tuple[tuple[int, int], ...] | None  # None: power r+1 is not verified
     expected_rank: int
     provenance: str
 
@@ -236,14 +234,11 @@ def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
     """
     if r < 1:
         raise ValueError(f"theta power must be >= 1, got {r}")
-    entry = _SPLITTINGS.get(branch)
     if r == 1 and branch not in (Branch.GENUS_NONPOSITIVE, Branch.UNSUPPORTED):
         return ThetaSplitting(
-            GradedBundle(((0, 1),)),
-            tuple(entry.increment(1)) if entry else None,
-            1,
-            "rank-one pushforward: structure sheaf of the linear system",
+            GradedBundle(((0, 1),)), 1, "rank-one pushforward: structure sheaf of the linear system"
         )
+    entry = _SPLITTINGS.get(branch)
     if entry is None:
         reason = (
             "for powers r >= 2 on this class the pushforward of theta^r is only known to be "
@@ -256,10 +251,7 @@ def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
             "no splitting into line-bundle twists is available"
         )
     return ThetaSplitting(
-        GradedBundle.from_summands(entry.summands(r)),
-        tuple(entry.increment(r)),
-        entry.expected_rank(r),
-        entry.provenance,
+        GradedBundle.from_summands(entry.summands(r)), entry.expected_rank(r), entry.provenance
     )
 
 
@@ -368,26 +360,28 @@ def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
     return all(n + t >= -l for t, _ in gb.summands)
 
 
-def recursion_failure_g2(top: int, start: int = 2) -> int | None:
-    """First s in start..top (start >= 2) where the genus-2 splitting at power s
-    plus the increment over the theta divisor, O(-s-1)^(s+2) + O(-s-2)^(s-1),
-    is not the one at power s+1, else None.  Power s+1 is power s plus the
-    block of s+1, so the running difference of the walk, increments added
-    minus blocks added, is empty before the first failing step: each step
-    compares one increment with one block."""
-    if start < 2:
-        raise ValueError(f"recursion check needs r >= 2, got {start}")
-    entry = _SPLITTINGS[Branch.GENUS_TWO]
-    for s in range(start, top + 1):
-        difference = _add(_add({}, entry.increment(s)), [(t, -m) for t, m in entry.block(s + 1)])
-        if any(difference.values()):
-            return s
-    return None
+def step_failure(branch: Branch, top: int, start: int | None = None) -> int | None:
+    """First power s in start..top where power s plus its increment is not
+    power s+1, else None; `start` defaults to the branch's lowest tabulated
+    power.  Power s+1 is power s plus the block of s+1, so the step holds
+    exactly when the increment of s equals the block of s+1.  The table
+    writes both merged and in descending twist order, so they are compared
+    as lists: one increment and one block per power."""
+    entry = _SPLITTINGS.get(branch)
+    if entry is None:
+        raise UnsupportedBranchError(
+            f"no tabulated splitting for branch {branch.value}: no step to check"
+        )
+    start = entry.base if start is None else start
+    if start < entry.base:
+        raise ValueError(f"the step check on {branch.value} needs r >= {entry.base}, got {start}")
+    steps = range(start, top + 1)
+    return next((s for s in steps if entry.increment(s) != entry.block(s + 1)), None)
 
 
 def recursion_check_g2(r: int) -> bool:
-    """One step of `recursion_failure_g2`: power r plus its increment is power r+1."""
-    return recursion_failure_g2(r, start=r) is None
+    """One step of the genus-2 recursion: power r plus its increment is power r+1."""
+    return step_failure(Branch.GENUS_TWO, r, start=r) is None
 
 
 def dualizing_twist(surface: Surface, L: DivisorClass) -> int:

@@ -289,6 +289,26 @@ def test_exit_code_2_on_r_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "zseries", "--surface", "p2", "--class", "3H", "--r", "2")
     assert code == 2
     assert "RATSURF_MAX_R must be an integer" in err
+    monkeypatch.setenv("RATSURF_MAX_R", "-1")
+    code, out, err = run_cli(capsys, "zseries", "--surface", "p2", "--class", "3H", "--r", "2")
+    assert (code, out, err) == (2, "", "error: RATSURF_MAX_R must be >= 0, got -1\n")
+    monkeypatch.delenv("RATSURF_MAX_R")
+    code, out, err = run_cli(capsys, *argv[:-2], "--checks", " , ")
+    assert (code, out, err) == (2, "", "error: --checks must name at least one check\n")
+
+
+def test_g2cohom_witness_names_the_first_failing_power(capsys, monkeypatch):
+    verify = ratsurf.cli.verify_genus2_cohomology
+    argv = ["report", "--surface", "f0", "--class", "2G+3F", "--r", "9", "--checks", "g2cohom"]
+    for bad in (2, 5, 9):
+        monkeypatch.setattr(
+            ratsurf.cli,
+            "verify_genus2_cohomology",
+            lambda e, r, bad=bad: verify(e, r)._replace(ok=r < bad),
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"  genus2-cohomology: FAIL (fails at power {bad})" in out
 
 
 def test_exit_code_4_on_decomposition_cap(capsys):

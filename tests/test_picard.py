@@ -66,6 +66,8 @@ def test_blowup_gram_entries():
 def test_intersect_rejects_dimension_mismatch():
     with pytest.raises(ClassParseError):
         intersect(P2, divisor(1, 2), divisor(1))
+    with pytest.raises(ClassParseError, match="different lattices"):
+        divisor(1) + divisor(1, 2)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -282,3 +284,6 @@ def test_surface_names_round_trip():
         assert surface_from_name(name).name.lower() == name.replace("p2", "p2")
     with pytest.raises(ClassParseError):
         surface_from_name("f-1")
+    for make in (hirzebruch, blowup_hirzebruch):
+        with pytest.raises(ClassParseError, match="must be >= 0, got -1"):
+            make(-1)

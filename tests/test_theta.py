@@ -29,8 +29,8 @@ from ratsurf import (
     projective_plane,
     pushforward_decomposition,
     recursion_check_g2,
-    recursion_failure_g2,
     series_numerator,
+    step_failure,
     theta_context,
     theta_splitting,
     verify_genus2_cohomology,
@@ -195,11 +195,16 @@ def test_numerator_read_off_the_splitting_matches_the_paper():
 
 def test_step_increments_grow_the_splitting():
     for branch in SPLIT_BRANCHES:
+        increment = ratsurf.theta._SPLITTINGS[branch].increment
         for r in range(1, 51):
-            step = theta_splitting(branch, r)
-            assert step.bundle.union(step.increment) == theta_splitting(branch, r + 1).bundle
-    for branch in FIRST_POWER_ONLY:
-        assert theta_splitting(branch, 1).increment is None
+            stepped = theta_splitting(branch, r).bundle.union(increment(r))
+            assert stepped == theta_splitting(branch, r + 1).bundle
+        assert step_failure(branch, 50) is None
+        with pytest.raises(ValueError, match="needs r >= "):
+            step_failure(branch, 50, start=0)
+    for branch in (*FIRST_POWER_ONLY, REFUSED):
+        with pytest.raises(UnsupportedBranchError, match="no tabulated splitting"):
+            step_failure(branch, 2)
     with pytest.raises(UnsupportedBranchError):
         theta_splitting(REFUSED, 1)
 
@@ -420,35 +425,53 @@ def test_recursion_examples():
         recursion_check_g2(1)
 
 
-def test_recursion_walk_reports_the_first_bad_step(monkeypatch, capsys):
-    # a slip in the increments or in the blocks from power bad on: the walk,
-    # the one-step check and the CLI witness each name bad
-    assert recursion_failure_g2(500) is None
-    entry = ratsurf.theta._SPLITTINGS[Branch.GENUS_TWO]
+def assert_walk_names_the_first_bad_step(monkeypatch, capsys, branch, one_step, argv, name):
+    """Slip the increments or the blocks of `branch` from power bad on: the
+    walk, the one-step check `one_step` and the CLI witness of `argv` each
+    name bad."""
+    assert step_failure(branch, 500) is None
+    entry = ratsurf.theta._SPLITTINGS[branch]
 
     def increment(r, bad):  # power r+1 over power r, wrong once r >= bad
-        (t1, m1), (t2, m2) = entry.increment(r)
-        return [(t1, m1), (t2, m2 + (r >= bad))]
+        *head, (t, m) = entry.increment(r)
+        return [*head, (t, m + (r >= bad))]
 
     def block(i, bad):  # power i over power i-1, wrong once i > bad
-        (t1, m1), (t2, m2) = entry.block(i)
-        return [(t1, m1 + (i > bad)), (t2, m2)]
+        (t, m), *tail = entry.block(i)
+        return [(t, m + (i > bad)), *tail]
 
     for slip in (increment, block):
-        for bad in (2, 3, 17, 499):
+        for bad in (entry.base, entry.base + 1, 17, 499):
             monkeypatch.setitem(
                 ratsurf.theta._SPLITTINGS,
-                Branch.GENUS_TWO,
+                branch,
                 entry._replace(**{slip.__name__: functools.partial(slip, bad=bad)}),
             )
-            assert recursion_failure_g2(500) == bad
-            assert recursion_failure_g2(bad - 1) is None
-            assert not recursion_check_g2(bad)
-            if bad > 2:
-                assert recursion_check_g2(bad - 1)
-            code = main("report --surface f0 --class 2G+3F --r 600 --trunc 3".split())
+            assert step_failure(branch, 500) == bad
+            assert step_failure(branch, bad - 1) is None
+            assert not one_step(bad)
+            if bad > entry.base:
+                assert one_step(bad - 1)
+            code = main(argv.split())
             assert code == 1
-            assert f"  recursion: FAIL (fails at power {bad})" in capsys.readouterr().out
+            assert f"  {name}: FAIL (fails at power {bad})" in capsys.readouterr().out
+
+
+def test_recursion_walk_reports_the_first_bad_step(monkeypatch, capsys):
+    argv = "report --surface f0 --class 2G+3F --r 600 --trunc 3"
+    assert_walk_names_the_first_bad_step(
+        monkeypatch, capsys, Branch.GENUS_TWO, recursion_check_g2, argv, "recursion"
+    )
+
+
+def test_sequence_additivity_walk_reports_the_first_bad_step(monkeypatch, capsys):
+    def one_step(r):
+        return step_failure(Branch.GENUS_ONE, r, start=r) is None
+
+    argv = "report --surface p2 --class 3H --r 600 --trunc 3"
+    assert_walk_names_the_first_bad_step(
+        monkeypatch, capsys, Branch.GENUS_ONE, one_step, argv, "sequence-additivity"
+    )
 
 
 def free_form_summands(branch, r):
@@ -487,7 +510,7 @@ def test_recursion_walk_costs_linear_work(monkeypatch):
         Branch.GENUS_TWO,
         entry._replace(increment=counted("increment"), block=counted("block")),
     )
-    assert recursion_failure_g2(1000) is None
+    assert step_failure(Branch.GENUS_TWO, 1000) is None
     assert 0 < calls["increment"] <= 1000
     assert 0 < calls["block"] <= 1000
 
@@ -543,3 +566,14 @@ def test_genus2_cohomology_rejects_bad_inputs():
         verify_genus2_cohomology(2, 3)
     with pytest.raises(ValueError):
         verify_genus2_cohomology(0, 1)
+
+
+# ------------------------------------------------------------- README example
+
+
+def test_readme_quick_start():
+    # the values the README's library quick start prints, line for line
+    ctx = theta_context(F1, divisor(2, 4))
+    assert z_series(ctx, 3, 5).coeffs == (1, 12, 81, 404, 1648, 5784)
+    assert pushforward_decomposition(ctx, 3).describe() == "O + O(-2)^3 + O(-3)^4 + O(-4)"
+    assert verify_genus2_cohomology(1, 5) == (6, 3, True)
