@@ -37,6 +37,7 @@ from .conditions import (
     check_a1,
     check_a2,
     check_a3,
+    classify_branch,
     default_very_ample,
     describe,
     is_very_ample,
@@ -199,7 +200,7 @@ def _cmd_genus(args) -> int:
         "moduli_dimension": moduli_dimension(surface, divisor),
         "effective": h0 > 0,
         "dim_linear_system": h0 - 1 if h0 > 0 else None,
-        "branch": theta_context(surface, divisor).branch.value if h0 > 0 else None,
+        "branch": classify_branch(surface, divisor).value if h0 > 0 else None,
     }
     _emit(args, info, lambda: _fields(17, surface, [
         ("class", info["class"]),

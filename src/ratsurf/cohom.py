@@ -6,9 +6,11 @@ O(b-ke) on the base line for k = 0..a, so
 
     h^0(aG+bF) = sum_{k=0}^{a} max(0, b-ke+1)   for a >= 0, else 0.
 
-h^2 is h^0 of the Serre-dual class K-D, and h^1 = h^0 + h^2 - chi(D) closes
-the Riemann-Roch Euler characteristic; all three are exact because h^0 and
-h^2 are.
+On the plane and on F_e one Serre-duality rule builds the whole table
+(`cohomology_table`): h^2 is h^0 of the Serre-dual class K-D, and
+h^1 = h^0 + h^2 - chi(D) closes the Riemann-Roch Euler characteristic; all
+three are exact because h^0 and h^2 are.  `h0_class` is the one place that
+dispatches h^0 on the surface kind; K and chi come from `picard`.
 
 On projective space P^l only h^0 and the top cohomology of O(m) are needed
 (the intermediate groups vanish identically):
@@ -73,10 +75,6 @@ class ProjectiveSpaceCohomology(NamedTuple):
     h_top: int
 
 
-def _h0_plane(d: int) -> int:
-    return math.comb(d + 2, 2) if d >= 0 else 0
-
-
 def _h0_hirzebruch(e: int, a: int, b: int) -> int:
     if a < 0:
         return 0
@@ -85,20 +83,12 @@ def _h0_hirzebruch(e: int, a: int, b: int) -> int:
 
 def cohomology_p2(d: int) -> CohomologyTable:
     """Full cohomology table of O(dH) on the plane (h^1 is always zero)."""
-    h0 = _h0_plane(d)
-    h2 = _h0_plane(-d - 3)
-    chi = euler_char(projective_plane(), DivisorClass((d,)))
-    return CohomologyTable(h0, h0 + h2 - chi, h2, chi)
+    return cohomology_table(projective_plane(), DivisorClass((d,)))
 
 
 def cohomology_hirzebruch(e: int, a: int, b: int) -> CohomologyTable:
     """Full cohomology table of O(aG+bF) on F_e."""
-    surface = hirzebruch(e)
-    k = canonical_class(surface)
-    h0 = _h0_hirzebruch(e, a, b)
-    h2 = _h0_hirzebruch(e, k.coeffs[0] - a, k.coeffs[1] - b)
-    chi = euler_char(surface, DivisorClass((a, b)))
-    return CohomologyTable(h0, h0 + h2 - chi, h2, chi)
+    return cohomology_table(hirzebruch(e), DivisorClass((a, b)))
 
 
 def cohomology_projective_space(l: int, m: int) -> ProjectiveSpaceCohomology:
@@ -129,7 +119,7 @@ def h0_blowup(e: int, a: int, b: int, c: int) -> int:
 def h0_class(surface: Surface, d: DivisorClass) -> int:
     """h^0 of O(D) on any supported surface, dispatching on the kind."""
     if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return _h0_plane(d.coeffs[0])
+        return math.comb(d.coeffs[0] + 2, 2) if d.coeffs[0] >= 0 else 0
     if surface.kind is SurfaceKind.HIRZEBRUCH:
         return _h0_hirzebruch(surface.e, d.coeffs[0], d.coeffs[1])
     a, b, e_coeff = d.coeffs
@@ -137,12 +127,15 @@ def h0_class(surface: Surface, d: DivisorClass) -> int:
 
 
 def cohomology_table(surface: Surface, d: DivisorClass) -> CohomologyTable:
-    """Full table on the plane or a Hirzebruch surface; blowups expose only h^0."""
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return cohomology_p2(d.coeffs[0])
-    if surface.kind is SurfaceKind.HIRZEBRUCH:
-        return cohomology_hirzebruch(surface.e, d.coeffs[0], d.coeffs[1])
-    raise ScopeError("h^1 and h^2 on blowups are outside the verified scope")
+    """Full table on the plane or a Hirzebruch surface by Serre duality:
+    h^2(D) = h^0(K-D), chi by Riemann-Roch, h^1 closing the sum.  Blowups
+    expose only h^0."""
+    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
+        raise ScopeError("h^1 and h^2 on blowups are outside the verified scope")
+    h0 = h0_class(surface, d)
+    h2 = h0_class(surface, canonical_class(surface) - d)
+    chi = euler_char(surface, d)
+    return CohomologyTable(h0, h0 + h2 - chi, h2, chi)
 
 
 def linear_system_dim(surface: Surface, L: DivisorClass) -> int:

@@ -24,6 +24,13 @@ series is computed by: every sub-class of non-positive genus; the plane
 family dH (d >= 3) or the Hirzebruch family 2G+nF (e in {0,1},
 n > max(1, 2e)) at genus 1, genus 2, or higher genus (first power only);
 anything else is unsupported.
+
+Each surface fact is written once: a kind's name, description and canonical
+class are set by its constructor in `picard`, its h^0 and cohomology table
+come from `cohom`.  Here the plane and F_e share one non-negative-coordinates
+rule for effectivity (`is_effective` and the decomposition walk), blowups
+test through h^0 inside the verified scope, and `enumerate_effective_below`
+walks one box between 0 and L on every kind.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from math import gcd
 from typing import NamedTuple
 
@@ -142,73 +150,62 @@ class ConditionReport:
         return cls(condition, all(row.ok for row in rows), witness, Details(surface, rows))
 
 
+def _nonnegative(coeffs: tuple[int, ...]) -> bool:
+    # effective-or-zero on the plane and on F_e
+    return all(c >= 0 for c in coeffs)
+
+
 def is_effective(surface: Surface, d: DivisorClass) -> bool:
     """Whether O(D) has a nonzero section (the zero class counts).
 
     On the plane and on F_e this is the coordinate test d >= 0 resp.
     a, b >= 0, which matches h^0 > 0 exactly; blowups go through h^0.
     """
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return d.coeffs[0] >= 0
-    if surface.kind is SurfaceKind.HIRZEBRUCH:
-        return d.coeffs[0] >= 0 and d.coeffs[1] >= 0
-    return h0_class(surface, d) > 0
+    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
+        return h0_class(surface, d) > 0
+    return _nonnegative(d.coeffs)
 
 
-def _effective_or_zero(surface: Surface, d: DivisorClass) -> bool:
+def _blowup_effective_or_zero(surface: Surface, d: DivisorClass) -> bool:
     # Enumeration guard: treats out-of-scope blowup classes (exceptional
     # multiplicity c = -coeffs[2] outside {0, 1}) as non-effective instead of
     # raising, so box walks stay inside the verified region.
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH and not 0 <= -d.coeffs[2] <= 1:
+    if not 0 <= -d.coeffs[2] <= 1:
         return False
     return d.is_zero or is_effective(surface, d)
 
 
 def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[DivisorClass]:
-    """All classes D with 0 < D <= L (both D and L-D effective), sorted."""
+    """All classes D with 0 < D <= L (both D and L-D effective), sorted.
+
+    Every such D lies in the box between 0 and L, walked in sorted order.  On
+    the plane and on F_e every box class qualifies; on blowups both sides are
+    tested."""
     if not is_effective(surface, L):
         raise ValueError(f"{format_divisor(surface, L)} is not effective on {surface.name}")
-    out: list[DivisorClass] = []
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        (d,) = L.coeffs
-        out = [DivisorClass((i,)) for i in range(1, d + 1)]
-    elif surface.kind is SurfaceKind.HIRZEBRUCH:
-        a, b = L.coeffs
-        out = [
-            DivisorClass((i, j))
-            for i in range(a + 1)
-            for j in range(b + 1)
-            if (i, j) != (0, 0)
-        ]
-    else:
-        a, b, e_coeff = L.coeffs
-        candidates = (
-            DivisorClass((i, j, k))
-            for i in range(a + 1)
-            for j in range(b + 1)
-            for k in range(min(e_coeff, 0), 1)
-        )
-        out = [
+    box = product(*(range(min(c, 0), max(c, 0) + 1) for c in L.coeffs))
+    below = [DivisorClass(coeffs) for coeffs in box if any(coeffs)]
+    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
+        return [
             d
-            for d in candidates
-            if not d.is_zero and is_effective(surface, d) and _effective_or_zero(surface, L - d)
+            for d in below
+            if is_effective(surface, d) and _blowup_effective_or_zero(surface, L - d)
         ]
-    return sorted(out, key=lambda d: d.coeffs)
+    return below
 
 
-def enumerate_decompositions(
-    surface: Surface, L: DivisorClass, cap: int = DECOMPOSITION_CAP
-) -> list[Decomposition]:
+def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decomposition]:
     """All multisets of >= 2 nonzero effective classes summing to L.
 
     The singleton {L} is excluded.  Classes with sum(|coefficients|) above
-    `cap` are rejected outright: the multiset count grows exponentially.
+    DECOMPOSITION_CAP are rejected outright: the multiset count grows
+    exponentially.
     """
     weight = sum(abs(c) for c in L.coeffs)
-    if weight > cap:
+    if weight > DECOMPOSITION_CAP:
         raise EnumerationCapError(
             f"coefficient sum {weight} of {format_divisor(surface, L)} exceeds the "
-            f"decomposition cap {cap}"
+            f"decomposition cap {DECOMPOSITION_CAP}"
         )
     below = enumerate_effective_below(surface, L)
     candidates = [d.coeffs for d in below]
@@ -217,12 +214,10 @@ def enumerate_decompositions(
     if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
 
         def fits(rest: tuple[int, ...]) -> bool:
-            return _effective_or_zero(surface, DivisorClass(rest))
+            return _blowup_effective_or_zero(surface, DivisorClass(rest))
 
     else:
-
-        def fits(rest: tuple[int, ...]) -> bool:
-            return all(c >= 0 for c in rest)
+        fits = _nonnegative
 
     results: list[tuple[int, ...]] = []  # indices into the sorted `candidates`
     parts: list[int] = []
@@ -301,6 +296,8 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     """Sub-class genus test plus the decomposition dimension inequality."""
     refuse_zero_class(L)
     below = enumerate_effective_below(surface, L)
+    # before A2(i)'s walks below each sub-class: a class over the cap is refused
+    decompositions = enumerate_decompositions(surface, L)
     genus = {d.coeffs: arithmetic_genus(surface, d) for d in below}
     rows: list[Row] = []
 
@@ -319,7 +316,7 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     g_l = arithmetic_genus(surface, L)
     bound = dim_l + g_l
     dims = {d.coeffs: linear_system_dim(surface, d) for d in below}
-    for dec in enumerate_decompositions(surface, L):
+    for dec in decompositions:
         lhs = (
             sum(dims[p.coeffs] for p in dec.parts)
             + sum(max(genus[p.coeffs], 0) for p in dec.parts)

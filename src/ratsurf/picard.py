@@ -19,6 +19,12 @@ Canonical classes: K = -3H on the plane and K = -2G-(e+2)F on F_e (the
 unique class giving genus 0 for both the fiber and the section); on the
 blowup K is the pullback plus E.
 
+Each kind's data (basis, Gram matrix, name, description and canonical
+class) is set once, by its constructor `projective_plane`, `hirzebruch` or
+`blowup_hirzebruch`, and stored on the frozen `Surface`.  The per-kind
+cohomology rules live in `cohom`; effectivity, very ampleness and the
+conditions A1-A3 live in `conditions`.
+
 Divisor classes print to and parse from the strings ``dH`` (plane),
 ``aG+bF`` (Hirzebruch) and ``aG+bF-cE`` (blowup), with zero terms omitted.
 """
@@ -107,28 +113,16 @@ def divisor(*coeffs: int) -> DivisorClass:
 
 @dataclass(frozen=True)
 class Surface:
-    """A supported rational surface with its Picard basis and Gram matrix."""
+    """A supported rational surface: its Picard basis and Gram matrix, and the
+    name, description and canonical class its constructor gives it."""
 
     kind: SurfaceKind
     e: int
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
-
-    @property
-    def name(self) -> str:
-        if self.kind is SurfaceKind.PROJECTIVE_PLANE:
-            return "P2"
-        if self.kind is SurfaceKind.HIRZEBRUCH:
-            return f"F{self.e}"
-        return f"F{self.e}b"
-
-    @property
-    def description(self) -> str:
-        if self.kind is SurfaceKind.PROJECTIVE_PLANE:
-            return "projective plane"
-        if self.kind is SurfaceKind.HIRZEBRUCH:
-            return f"Hirzebruch surface F_{self.e}"
-        return f"blowup of F_{self.e} at a generic point"
+    name: str
+    description: str
+    canonical: DivisorClass
 
     def __repr__(self) -> str:
         return f"Surface({self.name})"
@@ -136,14 +130,20 @@ class Surface:
 
 @lru_cache(maxsize=None)
 def projective_plane() -> Surface:
-    return Surface(SurfaceKind.PROJECTIVE_PLANE, 0, ("H",), ((1,),))
+    return Surface(
+        SurfaceKind.PROJECTIVE_PLANE, 0, ("H",), ((1,),), "P2", "projective plane",
+        DivisorClass((-3,)),
+    )
 
 
 @lru_cache(maxsize=None)
 def hirzebruch(e: int) -> Surface:
     if e < 0:
         raise ClassParseError(f"Hirzebruch parameter must be >= 0, got {e}")
-    return Surface(SurfaceKind.HIRZEBRUCH, e, ("G", "F"), ((-e, 1), (1, 0)))
+    return Surface(
+        SurfaceKind.HIRZEBRUCH, e, ("G", "F"), ((-e, 1), (1, 0)), f"F{e}",
+        f"Hirzebruch surface F_{e}", DivisorClass((-2, -(e + 2))),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +151,10 @@ def blowup_hirzebruch(e: int) -> Surface:
     if e < 0:
         raise ClassParseError(f"Hirzebruch parameter must be >= 0, got {e}")
     gram = ((-e, 1, 0), (1, 0, 0), (0, 0, -1))
-    return Surface(SurfaceKind.BLOWUP_HIRZEBRUCH, e, ("G", "F", "E"), gram)
+    return Surface(
+        SurfaceKind.BLOWUP_HIRZEBRUCH, e, ("G", "F", "E"), gram, f"F{e}b",
+        f"blowup of F_{e} at a generic point", DivisorClass((-2, -(e + 2), 1)),
+    )
 
 
 _SURFACE_NAME_RE = re.compile(r"^f(\d+)(b?)$")
@@ -208,11 +211,7 @@ def intersect(surface: Surface, d1: DivisorClass, d2: DivisorClass) -> int:
 
 def canonical_class(surface: Surface) -> DivisorClass:
     """Canonical divisor class K of the surface."""
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return DivisorClass((-3,))
-    if surface.kind is SurfaceKind.HIRZEBRUCH:
-        return DivisorClass((-2, -(surface.e + 2)))
-    return DivisorClass((-2, -(surface.e + 2), 1))
+    return surface.canonical
 
 
 def _half(n: int) -> int:

@@ -117,7 +117,7 @@ def expand_rational_gf(numerator: Polynomial, l: int, trunc: int) -> SeriesCoeff
     return SeriesCoefficients(trunc, tuple(coeffs))
 
 
-def format_polynomial(p: Polynomial, var: str = "t") -> str:
+def format_polynomial(p: Polynomial) -> str:
     """Human-readable form, ascending powers: '1 + 3t^2 + t^4'."""
     if not p.coeffs:
         return "0"
@@ -129,7 +129,7 @@ def format_polynomial(p: Polynomial, var: str = "t") -> str:
         if k == 0:
             body = str(mag)
         else:
-            power = var if k == 1 else f"{var}^{k}"
+            power = "t" if k == 1 else f"t^{k}"
             body = power if mag == 1 else f"{mag}{power}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")

@@ -317,13 +317,30 @@ def test_exit_code_4_on_decomposition_cap(capsys):
     )
     assert code == 4
     assert "cap" in err
+    # over the cap, a non-effective class still exits 2 and a blowup 3; only
+    # then does the cap give 4
+    for argv, expected_code, expected_err in [
+        (["--surface", "f1", "--class=-30G"], 2, "error: -30G is not effective on F1\n"),
+        (
+            ["--surface", "f1b", "--class", "20G+20F"],
+            3,
+            "error: no very ample default is provided on blowups\n",
+        ),
+        (
+            ["--surface", "f1", "--class", "13G+12F"],
+            4,
+            "error: coefficient sum 25 of 13G+12F exceeds the decomposition cap 24\n",
+        ),
+    ]:
+        code, out, err = run_cli(capsys, "conditions", *argv)
+        assert (code, out, err) == (expected_code, "", expected_err)
 
 
 def test_exit_code_5_on_internal_invariant_failure(capsys, monkeypatch):
     def broken(surface, L):
         raise AssertionError("summands must be merged and sorted\nsecond line")
 
-    monkeypatch.setattr(ratsurf.cli, "theta_context", broken)
+    monkeypatch.setattr(ratsurf.cli, "classify_branch", broken)
     code, out, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3H")
     assert code == 5
     assert out == ""

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratsurf import (
+    CohomologyTable,
     ScopeError,
+    blowup_hirzebruch,
     canonical_class,
     cohomology_hirzebruch,
     cohomology_p2,
@@ -16,6 +18,7 @@ from ratsurf import (
     divisor,
     euler_char,
     h0_blowup,
+    h0_class,
     hirzebruch,
     linear_system_dim,
     projective_plane,
@@ -93,6 +96,27 @@ def test_hirzebruch_chi_and_serre(e, a, b):
     assert table.h2 == dual.h0
     assert table.h1 == dual.h1
     assert table.h0 == dual.h2
+
+
+def test_cohomology_table_is_the_serre_duality_rule():
+    # h0 = h^0(D), h2 = h^0(K-D), chi by Riemann-Roch, h1 closes the sum
+    grids = [(P2, [divisor(d) for d in range(-12, 13)])]
+    for e in range(4):
+        grid = [divisor(a, b) for a in range(-7, 8) for b in range(-9, 10)]
+        grids.append((hirzebruch(e), grid))
+    for surface, grid in grids:
+        k = canonical_class(surface)
+        for d in grid:
+            h0, h2, chi = h0_class(surface, d), h0_class(surface, k - d), euler_char(surface, d)
+            table = cohomology_table(surface, d)
+            assert table == CohomologyTable(h0, h0 + h2 - chi, h2, chi)
+            if surface == P2:
+                assert cohomology_p2(*d.coeffs) == table
+            else:
+                assert cohomology_hirzebruch(surface.e, *d.coeffs) == table
+    for e in range(4):
+        with pytest.raises(ScopeError):
+            cohomology_table(blowup_hirzebruch(e), divisor(1, 1, 0))
 
 
 @settings(max_examples=200, derandomize=True)

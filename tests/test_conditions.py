@@ -22,6 +22,7 @@ from ratsurf import (
     enumerate_decompositions,
     enumerate_effective_below,
     arithmetic_genus,
+    h0_class,
     hirzebruch,
     is_effective,
     linear_system_dim,
@@ -46,8 +47,6 @@ def test_is_effective_examples():
 
 
 def test_is_effective_agrees_with_section_count():
-    from ratsurf import h0_class
-
     for d in range(-6, 7):
         assert is_effective(P2, divisor(d)) == (h0_class(P2, divisor(d)) > 0)
     for e in (0, 1, 2, 3):
@@ -74,6 +73,30 @@ def test_enumerate_effective_below_examples():
     }
 
 
+def _effective_in_scope(surface, d):
+    """The zero class, or h^0 > 0 inside the verified scope (out of scope is no)."""
+    try:
+        return d.is_zero or h0_class(surface, d) > 0
+    except ScopeError:
+        return False
+
+
+def _is_effective_or_raises(surface, L):
+    """Whether L is effective; checks that a class the enumerator refuses is
+    refused with the same error as `is_effective` (ValueError if not
+    effective, ScopeError if outside the verified blowup scope)."""
+    try:
+        effective = is_effective(surface, L)
+    except ScopeError:
+        with pytest.raises(ScopeError):
+            enumerate_effective_below(surface, L)
+        return False
+    if not effective:
+        with pytest.raises(ValueError, match="is not effective on"):
+            enumerate_effective_below(surface, L)
+    return effective
+
+
 def test_enumerate_effective_below_is_sorted_and_consistent():
     for surface, L in [(P2, divisor(4)), (F0, divisor(2, 3)), (F1, divisor(2, 4))]:
         below = enumerate_effective_below(surface, L)
@@ -82,6 +105,28 @@ def test_enumerate_effective_below_is_sorted_and_consistent():
             assert not d.is_zero
             assert is_effective(surface, d)
             assert is_effective(surface, L - d)
+    # brute-force oracle: every nonzero D in a box one step wider than L with
+    # D and L-D effective, on a small grid of every kind
+    grids = [(P2, [range(-2, 6)])]
+    grids += [(hirzebruch(e), [range(-1, 4), range(-1, 5)]) for e in range(4)]
+    grids += [(blowup_hirzebruch(e), [range(-1, 3), range(0, 4), range(-2, 2)]) for e in range(4)]
+    checked = 0
+    for surface, ranges in grids:
+        for coeffs in itertools.product(*ranges):
+            L = divisor(*coeffs)
+            if not _is_effective_or_raises(surface, L):
+                continue
+            box = itertools.product(*(range(-1, max(c, 0) + 2) for c in coeffs))
+            expected = [
+                divisor(*c)
+                for c in box
+                if any(c)
+                and _effective_in_scope(surface, divisor(*c))
+                and _effective_in_scope(surface, L - divisor(*c))
+            ]
+            assert enumerate_effective_below(surface, L) == expected, (surface, L)
+            checked += 1
+    assert checked > 100
 
 
 def test_enumerate_effective_below_on_blowup():
@@ -197,6 +242,20 @@ def test_decomposition_cap():
     # the cap counts absolute values
     with pytest.raises(EnumerationCapError):
         enumerate_decompositions(F0, divisor(13, 12))
+
+
+def test_a2_refuses_an_over_cap_class_before_walking_its_sub_classes(monkeypatch):
+    calls = []
+
+    def counted(surface, L):
+        calls.append(L)
+        return enumerate_effective_below_unwrapped(surface, L)
+
+    enumerate_effective_below_unwrapped = conditions.enumerate_effective_below
+    monkeypatch.setattr(conditions, "enumerate_effective_below", counted)
+    with pytest.raises(EnumerationCapError, match="exceeds the decomposition cap 24"):
+        check_a2(F1, divisor(13, 12))
+    assert calls == [divisor(13, 12)]
 
 
 # ------------------------------------------------------------------ conditions

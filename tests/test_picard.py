@@ -279,6 +279,31 @@ def test_parse_rejects_malformed_input():
             parse_divisor(surface, text)
 
 
+def test_surface_data_of_every_kind():
+    cases = [("p2", "P2", "projective plane", divisor(-3))]
+    for e in range(4):
+        cases += [
+            (f"f{e}", f"F{e}", f"Hirzebruch surface F_{e}", divisor(-2, -(e + 2))),
+            (f"f{e}b", f"F{e}b", f"blowup of F_{e} at a generic point", divisor(-2, -(e + 2), 1)),
+        ]
+    surfaces = []
+    for text, name, description, k in cases:
+        surface = surface_from_name(text)
+        assert surface.name == name
+        assert surface.description == description
+        assert repr(surface) == f"Surface({name})"
+        assert canonical_class(surface) == k
+        surfaces.append(surface)
+    # equal exactly when the same name resolves to them, also past the cache
+    for s1 in surfaces:
+        for s2 in surfaces:
+            assert (s1 == s2) == (s1.name == s2.name)
+    for e in range(4):
+        assert hirzebruch.__wrapped__(e) == hirzebruch(e)
+        assert hash(blowup_hirzebruch.__wrapped__(e)) == hash(blowup_hirzebruch(e))
+    assert projective_plane.__wrapped__() == P2
+
+
 def test_surface_names_round_trip():
     for name in ["p2", "f0", "f1", "f7", "f0b", "f2b"]:
         assert surface_from_name(name).name.lower() == name.replace("p2", "p2")
