@@ -15,8 +15,11 @@ from ratsurf import (
     check_a1,
     check_a2,
     check_a3,
+    canonical_class,
     classify_branch,
+    cohomology_table,
     conditions,
+    default_very_ample,
     describe,
     divisor,
     enumerate_decompositions,
@@ -24,7 +27,9 @@ from ratsurf import (
     arithmetic_genus,
     h0_class,
     hirzebruch,
+    intersect,
     is_effective,
+    is_very_ample,
     linear_system_dim,
     projective_plane,
 )
@@ -55,6 +60,120 @@ def test_is_effective_agrees_with_section_count():
             for b in range(-4, 5):
                 got = is_effective(surface, divisor(a, b))
                 assert got == (h0_class(surface, divisor(a, b)) > 0)
+
+
+def _outcome(rule, *args):
+    """A rule's value, or the exact type and message of its refusal."""
+    try:
+        return rule(*args)
+    except Exception as exc:  # the refusal is the outcome being compared
+        return type(exc), str(exc)
+
+
+def _refusal(rule, *args):
+    try:
+        rule(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_every_kind_rule_matches_its_oracle():
+    """Each surface kind's numeric rules against oracles written here: h^0 by
+    counting monomials or ruling sections, effectivity, very ampleness, A1's
+    rigid exceptions, the base-point-free marker, the positive-genus family
+    test and every blowup refusal, on p2, f0-f3 and f0b-f2b."""
+
+    def ruling_sections(e, a, b):
+        # sections of O(b - k e) on the base line, one per k = 0..a
+        return sum(1 for k in range(a + 1) for _ in range(b - k * e + 1))
+
+    def h0_oracle(surface, c):
+        if surface.basis == ("H",):
+            return sum(1 for i in range(c[0] + 1) for _ in range(c[0] - i + 1))
+        ambient = ruling_sections(surface.e, c[0], c[1])
+        if len(c) == 2 or c[2] == 0:
+            return ambient
+        if c[2] == -1:
+            return max(0, ambient - 1)
+        raise ScopeError(
+            f"blowup classes with exceptional multiplicity {-c[2]} are outside the verified "
+            "scope (only c in {0, 1} is supported)"
+        )
+
+    def very_ample_oracle(surface, c):
+        return c[0] >= 1 if len(c) == 1 else c[0] >= 1 and c[1] >= c[0] * surface.e + 1
+
+    def family_oracle(surface, c):
+        if len(c) == 1:
+            return c[0] >= 3
+        return len(c) == 2 and surface.e in (0, 1) and c[0] == 2 and c[1] > max(1, 2 * surface.e)
+
+    blowup_refusals = {
+        cohomology_table: (ScopeError, "h^1 and h^2 on blowups are outside the verified scope"),
+        is_very_ample: (
+            UnsupportedBranchError,
+            "very-ampleness on blowups is outside the verified scope",
+        ),
+    }
+    span = range(-3, 9)
+    grid = [(P2, (d,)) for d in span]
+    grid += [(hirzebruch(e), c) for e in range(4) for c in itertools.product(span, span)]
+    grid += [
+        (blowup_hirzebruch(e), c) for e in range(3) for c in itertools.product(span, span, span)
+    ]
+    for surface, c in grid:
+        d = divisor(*c)
+        h0 = _outcome(h0_oracle, surface, c)
+        assert _outcome(h0_class, surface, d) == h0, (surface, d)
+        effective = h0 if isinstance(h0, tuple) else h0 > 0
+        assert _outcome(is_effective, surface, d) == effective, (surface, d)
+        marker = h0
+        if not isinstance(h0, tuple):
+            marker = h0 > 0 and (len(c) == 1 or c[1] >= c[0] * surface.e)
+        assert _outcome(conditions._base_point_free, surface, d) == marker, (surface, d)
+        assert conditions._in_positive_genus_family(surface, d) == family_oracle(surface, c)
+        if len(c) == 3:
+            for rule, refusal in blowup_refusals.items():
+                assert _refusal(rule, surface, d) == refusal, (rule, surface, d)
+            a1 = (UnsupportedBranchError, "condition A1 is not defined on blowup surfaces here")
+            if d.is_zero:
+                a1 = (ScopeError, "dim|L| = 0: conditions A1-A3 need a nonzero class")
+            assert _refusal(check_a1, surface, d, divisor(1, surface.e + 1, 0)) == a1
+        else:
+            assert is_very_ample(surface, d) == very_ample_oracle(surface, c), (surface, d)
+    for e in range(3):
+        assert _refusal(default_very_ample, blowup_hirzebruch(e)) == (
+            UnsupportedBranchError,
+            "no very ample default is provided on blowups",
+        )
+
+    # A1 on every very ample H with small coefficients: the rows are the
+    # pairing with K+H, and only G and 2G on F_1 are excepted when it is >= 0
+    cases = [(P2, divisor(5), [divisor(h) for h in (1, 2)])]
+    cases += [
+        (
+            hirzebruch(e),
+            divisor(3, 3 * e + 2),
+            [divisor(a, b) for a in (1, 2) for b in range(a * e + 1, a * e + 3)],
+        )
+        for e in range(4)
+    ]
+    for surface, L, amples in cases:
+        assert default_very_ample(surface) == amples[0]
+        for h in amples:
+            kh = canonical_class(surface) + h
+            expected = []
+            for sub in enumerate_effective_below(surface, L):
+                value = intersect(surface, sub, kh)
+                name = describe(surface, sub)
+                if value < 0:
+                    expected.append(f"{name}.(K+H) = {value} < 0")
+                elif surface.e == 1 and len(L.coeffs) == 2 and sub.coeffs in ((1, 0), (2, 0)):
+                    expected.append(f"{name}.(K+H) = {value}, allowed as a rigid section class")
+                else:
+                    expected.append(f"{name}.(K+H) = {value} >= 0: violation")
+            assert list(check_a1(surface, L, h).details) == expected, (surface, L, h)
 
 
 # ----------------------------------------------------------------- enumeration
