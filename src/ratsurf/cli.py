@@ -30,7 +30,7 @@ import os
 import sys
 from typing import Callable
 
-from .cohom import cohomology_table, h0_class
+from .cohom import KIND_RULES, cohomology_table, h0_class, linear_system_dim
 from .conditions import (
     Branch,
     ConditionReport,
@@ -41,6 +41,7 @@ from .conditions import (
     default_very_ample,
     describe,
     is_very_ample,
+    refuse_over_cap,
     refuse_zero_class,
 )
 from .errors import (
@@ -51,7 +52,6 @@ from .errors import (
 from .picard import (
     DivisorClass,
     Surface,
-    SurfaceKind,
     arithmetic_genus,
     canonical_class,
     format_divisor,
@@ -218,13 +218,13 @@ def _cmd_genus(args) -> int:
 def _cmd_cohom(args) -> int:
     surface, divisor = _parse_context(args)
     info = {"surface": surface.name, "class": format_divisor(surface, divisor)}
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
-        info["h0"] = h0_class(surface, divisor)
-        tail = f"h0        {info['h0']}   (h1/h2 are outside the verified blowup scope)"
-    else:
+    if KIND_RULES[surface.kind].serre_table:
         table = cohomology_table(surface, divisor)
         info.update(h0=table.h0, h1=table.h1, h2=table.h2, chi=table.chi)
         tail = f"h0 {table.h0}   h1 {table.h1}   h2 {table.h2}   chi {table.chi}"
+    else:
+        info["h0"] = h0_class(surface, divisor)
+        tail = f"h0        {info['h0']}   (h1/h2 are outside the verified blowup scope)"
     _emit(args, info, lambda: [*_fields(10, surface, [("class", info["class"])]), tail])
     return 0
 
@@ -239,6 +239,10 @@ def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str 
             )
     else:
         ample = default_very_ample(surface)
+    # a blowup is refused by now; a class that is not effective has no dim|L|,
+    # and one over the cap is refused before A1 walks the box below it
+    linear_system_dim(surface, divisor)
+    refuse_over_cap(surface, divisor)
     return [
         check_a1(surface, divisor, ample),
         check_a2(surface, divisor),

@@ -9,25 +9,28 @@ O(b-ke) on the base line for k = 0..a, so
 On the plane and on F_e one Serre-duality rule builds the whole table
 (`cohomology_table`): h^2 is h^0 of the Serre-dual class K-D, and
 h^1 = h^0 + h^2 - chi(D) closes the Riemann-Roch Euler characteristic; all
-three are exact because h^0 and h^2 are.  `h0_class` is the one place that
-dispatches h^0 on the surface kind; K and chi come from `picard`.
+three are exact because h^0 and h^2 are.  K and chi come from `picard`.
+The blowup h^0 is deliberately narrow: it handles classes aG+bF-cE with c in
+{0, 1}, where one generic point imposes a single linear condition on the
+base-point-free ambient system.  Anything else is rejected rather than
+guessed, and blowups have no h^1, h^2 or very ample class here.
+
+`KIND_RULES` is the one place each surface kind's numeric rules are written
+(on F_e, aG+bF is very ample exactly when a >= 1 and b >= ae+1: Hartshorne,
+Algebraic Geometry V.2.18).  `h0_class`, `cohomology_table` and `conditions`
+read it, and where an entry holds None the caller refuses the input.
 
 On projective space P^l only h^0 and the top cohomology of O(m) are needed
 (the intermediate groups vanish identically):
 
     h^0 = C(m+l, l) for m >= 0,    h^top = C(-m-1, l) for m <= -l-1.
-
-The blowup routine is deliberately narrow: it handles classes aG+bF-cE with
-c in {0, 1}, where one generic point imposes a single linear condition on the
-base-point-free ambient system.  Anything else is rejected rather than
-guessed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ScopeError
 from .picard import (
@@ -43,6 +46,8 @@ from .picard import (
 
 __all__ = [
     "CohomologyTable",
+    "KIND_RULES",
+    "KindRules",
     "ProjectiveSpaceCohomology",
     "cohomology_p2",
     "cohomology_hirzebruch",
@@ -76,8 +81,6 @@ class ProjectiveSpaceCohomology(NamedTuple):
 
 
 def _h0_hirzebruch(e: int, a: int, b: int) -> int:
-    if a < 0:
-        return 0
     return sum(max(0, b - k * e + 1) for k in range(a + 1))
 
 
@@ -116,21 +119,82 @@ def h0_blowup(e: int, a: int, b: int, c: int) -> int:
     )
 
 
+Coeffs = tuple[int, ...]
+
+
+class KindRules(NamedTuple):
+    """A surface kind's numeric rules, each a function of the Hirzebruch
+    parameter e and a coefficient vector c; None where the verified scope
+    ends.  `effective_or_zero` (D = 0 or h^0(D) > 0, False outside the
+    verified scope) is shared by `is_effective`, the box filter and the
+    decomposition walk; `base_point_free` is the marker given h^0 > 0."""
+
+    h0: Callable[[int, Coeffs], int]
+    serre_table: bool  # whether h^1 and h^2 follow from h^0 by Serre duality
+    effective_or_zero: Callable[[int, Coeffs], bool]
+    very_ample_default: Callable[[int], Coeffs] | None
+    very_ample: Callable[[int, Coeffs], bool] | None
+    rigid: Callable[[int, Coeffs], bool] | None  # A1's permitted exceptions
+    base_point_free: Callable[[int, Coeffs], bool]
+    positive_genus_family: Callable[[int, Coeffs], bool]
+
+
+def _nonnegative(e: int, c: Coeffs) -> bool:
+    return min(c) >= 0  # on the plane and on F_e, exactly the classes with h^0 > 0
+
+
+def _nef_on_ruling(e: int, c: Coeffs) -> bool:
+    return c[1] >= c[0] * e  # b >= ae on the (ambient) ruled surface
+
+
+#: The one place each surface kind's numeric rules are written.
+KIND_RULES = {
+    SurfaceKind.PROJECTIVE_PLANE: KindRules(
+        h0=lambda e, c: math.comb(c[0] + 2, 2) if c[0] >= 0 else 0,
+        serre_table=True,
+        effective_or_zero=_nonnegative,
+        very_ample_default=lambda e: (1,),
+        very_ample=lambda e, c: c[0] >= 1,
+        rigid=lambda e, c: False,
+        base_point_free=lambda e, c: True,
+        positive_genus_family=lambda e, c: c[0] >= 3,
+    ),
+    SurfaceKind.HIRZEBRUCH: KindRules(
+        h0=lambda e, c: _h0_hirzebruch(e, *c),
+        serre_table=True,
+        effective_or_zero=_nonnegative,
+        very_ample_default=lambda e: (1, e + 1),
+        very_ample=lambda e, c: c[0] >= 1 and c[1] >= c[0] * e + 1,
+        rigid=lambda e, c: e == 1 and c in ((1, 0), (2, 0)),  # G and 2G on F_1
+        base_point_free=_nef_on_ruling,
+        positive_genus_family=lambda e, c: e in (0, 1) and c[0] == 2 and c[1] > max(1, 2 * e),
+    ),
+    SurfaceKind.BLOWUP_HIRZEBRUCH: KindRules(
+        h0=lambda e, c: h0_blowup(e, c[0], c[1], -c[2]),
+        serre_table=False,
+        # exceptional multiplicity -c[2] outside {0, 1} counts as non-effective
+        effective_or_zero=lambda e, c: (
+            0 <= -c[2] <= 1 and (not any(c) or h0_blowup(e, c[0], c[1], -c[2]) > 0)
+        ),
+        very_ample_default=None,
+        very_ample=None,
+        rigid=None,
+        base_point_free=_nef_on_ruling,
+        positive_genus_family=lambda e, c: False,
+    ),
+}
+
+
 def h0_class(surface: Surface, d: DivisorClass) -> int:
-    """h^0 of O(D) on any supported surface, dispatching on the kind."""
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return math.comb(d.coeffs[0] + 2, 2) if d.coeffs[0] >= 0 else 0
-    if surface.kind is SurfaceKind.HIRZEBRUCH:
-        return _h0_hirzebruch(surface.e, d.coeffs[0], d.coeffs[1])
-    a, b, e_coeff = d.coeffs
-    return h0_blowup(surface.e, a, b, -e_coeff)
+    """h^0 of O(D) on any supported surface, by its kind's rule."""
+    return KIND_RULES[surface.kind].h0(surface.e, d.coeffs)
 
 
 def cohomology_table(surface: Surface, d: DivisorClass) -> CohomologyTable:
     """Full table on the plane or a Hirzebruch surface by Serre duality:
     h^2(D) = h^0(K-D), chi by Riemann-Roch, h^1 closing the sum.  Blowups
     expose only h^0."""
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
+    if not KIND_RULES[surface.kind].serre_table:
         raise ScopeError("h^1 and h^2 on blowups are outside the verified scope")
     h0 = h0_class(surface, d)
     h2 = h0_class(surface, canonical_class(surface) - d)

@@ -26,11 +26,10 @@ n > max(1, 2e)) at genus 1, genus 2, or higher genus (first power only);
 anything else is unsupported.
 
 Each surface fact is written once: a kind's name, description and canonical
-class are set by its constructor in `picard`, its h^0 and cohomology table
-come from `cohom`.  Here the plane and F_e share one non-negative-coordinates
-rule for effectivity (`is_effective` and the decomposition walk), blowups
-test through h^0 inside the verified scope, and `enumerate_effective_below`
-walks one box between 0 and L on every kind.
+class are set by its constructor in `picard`, and its numeric rules
+(effectivity, very ampleness, A1's rigid classes, the base-point-free marker
+and the positive-genus family) by its entry in `cohom.KIND_RULES`, which every
+function here reads instead of comparing kinds.
 """
 
 from __future__ import annotations
@@ -42,12 +41,11 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .cohom import h0_class, linear_system_dim
+from .cohom import KIND_RULES, h0_class, linear_system_dim
 from .errors import EnumerationCapError, ScopeError, UnsupportedBranchError
 from .picard import (
     DivisorClass,
     Surface,
-    SurfaceKind,
     arithmetic_genus,
     canonical_class,
     format_divisor,
@@ -66,6 +64,7 @@ __all__ = [
     "default_very_ample",
     "is_very_ample",
     "refuse_zero_class",
+    "refuse_over_cap",
     "check_a1",
     "check_a2",
     "check_a3",
@@ -150,74 +149,57 @@ class ConditionReport:
         return cls(condition, all(row.ok for row in rows), witness, Details(surface, rows))
 
 
-def _nonnegative(coeffs: tuple[int, ...]) -> bool:
-    # effective-or-zero on the plane and on F_e
-    return all(c >= 0 for c in coeffs)
-
-
 def is_effective(surface: Surface, d: DivisorClass) -> bool:
     """Whether O(D) has a nonzero section (the zero class counts).
 
-    On the plane and on F_e this is the coordinate test d >= 0 resp.
-    a, b >= 0, which matches h^0 > 0 exactly; blowups go through h^0.
+    The kind's coordinate rule decides; where it says no, h^0 confirms it,
+    and refuses a blowup class outside the verified scope.
     """
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
-        return h0_class(surface, d) > 0
-    return _nonnegative(d.coeffs)
-
-
-def _blowup_effective_or_zero(surface: Surface, d: DivisorClass) -> bool:
-    # Enumeration guard: treats out-of-scope blowup classes (exceptional
-    # multiplicity c = -coeffs[2] outside {0, 1}) as non-effective instead of
-    # raising, so box walks stay inside the verified region.
-    if not 0 <= -d.coeffs[2] <= 1:
-        return False
-    return d.is_zero or is_effective(surface, d)
+    rule = KIND_RULES[surface.kind].effective_or_zero
+    return rule(surface.e, d.coeffs) or h0_class(surface, d) > 0
 
 
 def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[DivisorClass]:
     """All classes D with 0 < D <= L (both D and L-D effective), sorted.
 
-    Every such D lies in the box between 0 and L, walked in sorted order.  On
-    the plane and on F_e every box class qualifies; on blowups both sides are
-    tested."""
+    Every such D lies in the box between 0 and L, walked in sorted order, and
+    the kind's effective-or-zero rule tests D and L-D (on the plane and on
+    F_e every box class passes)."""
     if not is_effective(surface, L):
         raise ValueError(f"{format_divisor(surface, L)} is not effective on {surface.name}")
-    box = product(*(range(min(c, 0), max(c, 0) + 1) for c in L.coeffs))
-    below = [DivisorClass(coeffs) for coeffs in box if any(coeffs)]
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
-        return [
-            d
-            for d in below
-            if is_effective(surface, d) and _blowup_effective_or_zero(surface, L - d)
-        ]
-    return below
+    rule, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
+    spans = [range(min(c, 0), max(c, 0) + 1) for c in L.coeffs]
+    # L - D for each D of the box, walked in step with it
+    rests = product(*(range(c - s.start, c - s.stop, -1) for c, s in zip(L.coeffs, spans)))
+    return [
+        DivisorClass(d)
+        for d, rest in zip(product(*spans), rests)
+        if any(d) and rule(e, d) and rule(e, rest)
+    ]
 
 
-def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decomposition]:
-    """All multisets of >= 2 nonzero effective classes summing to L.
-
-    The singleton {L} is excluded.  Classes with sum(|coefficients|) above
-    DECOMPOSITION_CAP are rejected outright: the multiset count grows
-    exponentially.
-    """
+def refuse_over_cap(surface: Surface, L: DivisorClass) -> None:
+    """Classes with sum(|coefficients|) above DECOMPOSITION_CAP are refused:
+    their decomposition count grows exponentially."""
     weight = sum(abs(c) for c in L.coeffs)
     if weight > DECOMPOSITION_CAP:
         raise EnumerationCapError(
             f"coefficient sum {weight} of {format_divisor(surface, L)} exceeds the "
             f"decomposition cap {DECOMPOSITION_CAP}"
         )
+
+
+def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decomposition]:
+    """All multisets of >= 2 nonzero effective classes summing to L.
+
+    The singleton {L} is excluded, and a class over the cap is refused
+    (`refuse_over_cap`).
+    """
+    refuse_over_cap(surface, L)
     below = enumerate_effective_below(surface, L)
     candidates = [d.coeffs for d in below]
     zero = (0,) * len(L.coeffs)
-
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
-
-        def fits(rest: tuple[int, ...]) -> bool:
-            return _blowup_effective_or_zero(surface, DivisorClass(rest))
-
-    else:
-        fits = _nonnegative
+    fits, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
 
     results: list[tuple[int, ...]] = []  # indices into the sorted `candidates`
     parts: list[int] = []
@@ -229,7 +211,7 @@ def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decompos
             return
         for i in range(start, len(candidates)):
             rest = tuple(x - y for x, y in zip(remaining, candidates[i]))
-            if fits(rest):
+            if fits(e, rest):
                 parts.append(i)
                 walk(rest, i)
                 parts.pop()
@@ -243,21 +225,18 @@ def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decompos
 
 def default_very_ample(surface: Surface) -> DivisorClass:
     """The minimal very ample class used when none is supplied: H, or G+(e+1)F."""
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return DivisorClass((1,))
-    if surface.kind is SurfaceKind.HIRZEBRUCH:
-        return DivisorClass((1, surface.e + 1))
-    raise UnsupportedBranchError("no very ample default is provided on blowups")
+    default = KIND_RULES[surface.kind].very_ample_default
+    if default is None:
+        raise UnsupportedBranchError("no very ample default is provided on blowups")
+    return DivisorClass(default(surface.e))
 
 
 def is_very_ample(surface: Surface, h: DivisorClass) -> bool:
     """Toric numeric criterion: d >= 1 on the plane; a >= 1 and b >= ae+1 on F_e."""
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return h.coeffs[0] >= 1
-    if surface.kind is SurfaceKind.HIRZEBRUCH:
-        a, b = h.coeffs
-        return a >= 1 and b >= a * surface.e + 1
-    raise UnsupportedBranchError("very-ampleness on blowups is outside the verified scope")
+    criterion = KIND_RULES[surface.kind].very_ample
+    if criterion is None:
+        raise UnsupportedBranchError("very-ampleness on blowups is outside the verified scope")
+    return criterion(surface.e, h.coeffs)
 
 
 def refuse_zero_class(L: DivisorClass) -> None:
@@ -273,18 +252,18 @@ def check_a1(surface: Surface, L: DivisorClass, h: DivisorClass) -> ConditionRep
     pair to zero.  Raises on the zero class, on blowups and on non-very-ample H.
     """
     refuse_zero_class(L)
-    if surface.kind is SurfaceKind.BLOWUP_HIRZEBRUCH:
+    rigid = KIND_RULES[surface.kind].rigid
+    if rigid is None:
         raise UnsupportedBranchError("condition A1 is not defined on blowup surfaces here")
     if not is_very_ample(surface, h):
         raise ValueError(f"{format_divisor(surface, h)} is not very ample on {surface.name}")
     kh = canonical_class(surface) + h
-    exceptions_allowed = surface.kind is SurfaceKind.HIRZEBRUCH and surface.e == 1
     rows: list[Row] = []
     for sub in enumerate_effective_below(surface, L):
         value = intersect(surface, sub, kh)
         if value < 0:
             row = Row(True, sub, "{}.(K+H) = {} < 0", (sub, value))
-        elif exceptions_allowed and sub.coeffs in ((1, 0), (2, 0)):
+        elif rigid(surface.e, sub.coeffs):
             row = Row(True, sub, "{}.(K+H) = {}, allowed as a rigid section class", (sub, value))
         else:
             row = Row(False, sub, "{}.(K+H) = {} >= 0: violation", (sub, value))
@@ -328,14 +307,11 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
 
 
 def _base_point_free(surface: Surface, L: DivisorClass) -> bool:
-    # Generic-point proxy: h^0 > 0 everywhere, plus the nef inequality on the
-    # (ambient) ruled surface.
+    # Generic-point proxy: h^0 > 0, plus the kind's marker (the nef
+    # inequality on the ambient ruled surface).
     if h0_class(surface, L) == 0:
         return False
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return True
-    a, b = L.coeffs[0], L.coeffs[1]
-    return b >= a * surface.e
+    return KIND_RULES[surface.kind].base_point_free(surface.e, L.coeffs)
 
 
 def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
@@ -370,9 +346,7 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
     for m in range(2, divisor_gcd + 1):
         if divisor_gcd % m:
             continue
-        base = DivisorClass(tuple(c // m for c in L.coeffs))
-        if not is_effective(surface, base):
-            continue
+        base = DivisorClass(tuple(c // m for c in L.coeffs))  # effective, as L is
         dim_base = linear_system_dim(surface, base)
         template = "multiple structure {}*({}): dim {} {op} {}"
         rows.append(Row(dim_base <= dim_l - 2, base, template, (m, base, dim_base, dim_l - 2)))
@@ -380,12 +354,7 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
 
 
 def _in_positive_genus_family(surface: Surface, L: DivisorClass) -> bool:
-    if surface.kind is SurfaceKind.PROJECTIVE_PLANE:
-        return L.coeffs[0] >= 3
-    if surface.kind is SurfaceKind.HIRZEBRUCH and surface.e in (0, 1):
-        a, b = L.coeffs
-        return a == 2 and b > max(1, 2 * surface.e)
-    return False
+    return KIND_RULES[surface.kind].positive_genus_family(surface.e, L.coeffs)
 
 
 def classify_branch(surface: Surface, L: DivisorClass) -> Branch:

@@ -304,9 +304,10 @@ class ThetaSeries:
         binom = [binom_polynomial(x + l, l) for x in range(low, low + len(mults) + len(seed) - 1)]
         chi = [sum(map(mul, mults, binom[n:])) for n in seed]
         # chi(n) = sum_{k=1..l+1} (-1)^(k+1) C(l+1, k) chi(n-k), weights[i] for k = l+1-i
-        weights = [(-1) ** (k + 1) * math.comb(l + 1, k) for k in range(l + 1, 0, -1)]
-        for n in range(l + 1, trunc + 1):
-            chi.append(sum(map(mul, weights, chi[n - l - 1 : n])))
+        if trunc > l:
+            weights = [(-1) ** (k + 1) * math.comb(l + 1, k) for k in range(l + 1, 0, -1)]
+            for n in range(l + 1, trunc + 1):
+                chi.append(sum(map(mul, weights, chi[n - l - 1 : n])))
         return SeriesCoefficients(trunc, tuple(chi))
 
 

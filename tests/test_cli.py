@@ -336,6 +336,23 @@ def test_exit_code_4_on_decomposition_cap(capsys):
         assert (code, out, err) == (expected_code, "", expected_err)
 
 
+def test_over_cap_conditions_exit_before_a1_walks_the_box(capsys, monkeypatch):
+    # the weight is read right after the zero-class, --ample, blowup and
+    # effectiveness refusals, so no box below L is ever listed
+    calls = []
+    walk = conditions.enumerate_effective_below
+
+    def counted(surface, L):
+        calls.append(L)
+        return walk(surface, L)
+
+    monkeypatch.setattr(conditions, "enumerate_effective_below", counted)
+    code, out, err = run_cli(capsys, "conditions", "--surface", "f1", "--class", "700G+700F")
+    message = "error: coefficient sum 1400 of 700G+700F exceeds the decomposition cap 24\n"
+    assert (code, out, err) == (4, "", message)
+    assert calls == []
+
+
 def test_exit_code_5_on_internal_invariant_failure(capsys, monkeypatch):
     def broken(surface, L):
         raise AssertionError("summands must be merged and sorted\nsecond line")

@@ -1,11 +1,14 @@
 """Cohomology tables against independent counting oracles."""
 
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratsurf
 from ratsurf import (
     CohomologyTable,
     ScopeError,
@@ -203,3 +206,16 @@ def test_linear_system_dim_rejects_non_effective():
         linear_system_dim(P2, divisor(-1))
     with pytest.raises(ValueError):
         linear_system_dim(hirzebruch(0), divisor(2, -1))
+
+
+def test_surface_kinds_are_compared_in_picard_only():
+    # each kind's rules are read from cohom.KIND_RULES; a table key is not a comparison
+    comparison = re.compile(r"\.kind\s*(?:is\b|==|!=)")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(ratsurf.__file__).parent.glob("*.py"))
+        if path.name != "picard.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if comparison.search(line)
+    ]
+    assert len(found) <= 3, found

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import math
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -357,6 +358,29 @@ def test_report_columns_cost_linear_work(monkeypatch):
     assert 0 < calls["binom"] <= (CTX_G2_F1.l + 1) * twists
     assert calls["binom"] <= twists + CTX_G2_F1.l + 1  # one per argument of the chi seed
     assert 0 < calls["h0"] <= 201
+
+
+def test_chi_builds_no_difference_weight_up_to_l(monkeypatch):
+    # the (l+1)-th difference weights are read only at n > l, so with
+    # trunc <= l not one of the l+1 binomials C(l+1, k) is built
+    calls = []
+
+    def comb(n, k):
+        calls.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(ratsurf.theta, "math", types.SimpleNamespace(comb=comb))
+    l = CTX_G2_F1.l
+    for trunc in (0, l - 1, l):
+        series = ThetaSeries(CTX_G2_F1, 3, trunc)
+        gb = series.split.bundle
+        assert series.chi.coeffs == tuple(gb.euler_char(l, n) for n in range(trunc + 1))
+    assert calls == []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main("report --surface p2 --class 40H --r 1 --trunc 5".split()) == 0
+    assert calls == []
+    assert ThetaSeries(CTX_G2_F1, 3, l + 1).chi.coeffs[-1] == gb.euler_char(l, l + 1)
+    assert len(calls) == l + 1
 
 
 def test_first_power_series_is_binomial():
