@@ -10,10 +10,6 @@ On the plane and on F_e one Serre-duality rule builds the whole table
 (`cohomology_table`): h^2 is h^0 of the Serre-dual class K-D, and
 h^1 = h^0 + h^2 - chi(D) closes the Riemann-Roch Euler characteristic; all
 three are exact because h^0 and h^2 are.  K and chi come from `picard`.
-The blowup h^0 is deliberately narrow: it handles classes aG+bF-cE with c in
-{0, 1}, where one generic point imposes a single linear condition on the
-base-point-free ambient system.  Anything else is rejected rather than
-guessed, and blowups have no h^1, h^2 or very ample class here.
 
 `KIND_RULES` is the one place each surface kind's numeric rules are written
 (on F_e, aG+bF is very ample exactly when a >= 1 and b >= ae+1: Hartshorne,
@@ -24,6 +20,11 @@ On projective space P^l only h^0 and the top cohomology of O(m) are needed
 (the intermediate groups vanish identically):
 
     h^0 = C(m+l, l) for m >= 0,    h^top = C(-m-1, l) for m <= -l-1.
+
+The blowup routine is deliberately narrow: it handles classes aG+bF-cE with
+c in {0, 1}, where one generic point imposes a single linear condition on the
+base-point-free ambient system.  Anything else is rejected rather than
+guessed.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .picard import (
 __all__ = [
     "CohomologyTable",
     "KIND_RULES",
-    "KindRules",
     "ProjectiveSpaceCohomology",
     "cohomology_p2",
     "cohomology_hirzebruch",
@@ -147,7 +147,6 @@ def _nef_on_ruling(e: int, c: Coeffs) -> bool:
     return c[1] >= c[0] * e  # b >= ae on the (ambient) ruled surface
 
 
-#: The one place each surface kind's numeric rules are written.
 KIND_RULES = {
     SurfaceKind.PROJECTIVE_PLANE: KindRules(
         h0=lambda e, c: math.comb(c[0] + 2, 2) if c[0] >= 0 else 0,
