@@ -14,7 +14,8 @@ three are exact because h^0 and h^2 are.  K and chi come from `picard`.
 `KIND_RULES` is the one place each surface kind's numeric rules are written
 (on F_e, aG+bF is very ample exactly when a >= 1 and b >= ae+1: Hartshorne,
 Algebraic Geometry V.2.18).  `h0_class`, `cohomology_table` and `conditions`
-read it, and where an entry holds None the caller refuses the input.
+read it, and where an entry holds None (or no Serre table) the caller
+refuses the input.
 
 On projective space P^l only h^0 and the top cohomology of O(m) are needed
 (the intermediate groups vanish identically):
@@ -124,10 +125,11 @@ Coeffs = tuple[int, ...]
 
 class KindRules(NamedTuple):
     """A surface kind's numeric rules, each a function of the Hirzebruch
-    parameter e and a coefficient vector c; None where the verified scope
-    ends.  `effective_or_zero` (D = 0 or h^0(D) > 0, False outside the
-    verified scope) is shared by `is_effective`, the box filter and the
-    decomposition walk; `base_point_free` is the marker given h^0 > 0."""
+    parameter e and a coefficient vector c; None (False for `serre_table`)
+    where the verified scope ends.  `effective_or_zero` (D = 0 or
+    h^0(D) > 0, False outside the verified scope) is shared by
+    `is_effective`, the box filter and the decomposition walk;
+    `base_point_free` is the marker given h^0 > 0."""
 
     h0: Callable[[int, Coeffs], int]
     serre_table: bool  # whether h^1 and h^2 follow from h^0 by Serre duality
