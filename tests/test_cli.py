@@ -1,6 +1,7 @@
 """CLI behavior: formats, determinism, exit codes."""
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -309,6 +310,40 @@ def test_g2cohom_witness_names_the_first_failing_power(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         assert f"  genus2-cohomology: FAIL (fails at power {bad})" in out
+
+
+def check_names(out):
+    """The entry names under `checks`, in the order the report prints them."""
+    lines = out.splitlines()
+    entries = lines[lines.index("checks") + 1 :]
+    block = itertools.takewhile(lambda line: not line.startswith("details "), entries)
+    return [line.split(":")[0].strip() for line in block]
+
+
+def test_checks_run_in_the_order_given_with_repeats(capsys, monkeypatch):
+    argv = ["report", "--surface", "p2", "--class", "3H", "--trunc", "2", "--checks"]
+    code, out, err = run_cli(capsys, *argv, "dualizing,zseries,zseries")
+    assert (code, err) == (0, "")
+    assert check_names(out) == ["dualizing-twist", "series-consistency", "series-consistency"]
+    code, out, err = run_cli(capsys, *argv, "conditions,conditions")
+    assert (code, err) == (0, "")
+    assert check_names(out) == ["A1", "A2", "A3"] * 2
+    details = [line for line in out.splitlines() if line.startswith("details ")]
+    assert details == ["details A1", "details A2", "details A3"] * 2
+    code, out, err = run_cli(capsys, *argv, "foo,zseries")
+    expected = (
+        "error: unknown checks ['foo']; available: "
+        "conditions, zseries, invariants, g2cohom, dualizing\n"
+    )
+    assert (code, out, err) == (2, "", expected)
+    monkeypatch.setenv("COLUMNS", "80")
+    ratsurf.cli.build_parser.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "report", "--help")
+    finally:
+        ratsurf.cli.build_parser.cache_clear()
+    assert code == 0
+    assert "{conditions,zseries,invariants,g2cohom,dualizing}" in out
 
 
 def test_exit_code_4_on_decomposition_cap(capsys):

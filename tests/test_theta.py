@@ -157,6 +157,65 @@ def test_graded_bundle_validation():
     )
 
 
+def merged_oracle(pairs):
+    """Twist -> summed multiplicity, by a dict: the oracle for `from_summands`."""
+    merged = {}
+    for twist, mult in pairs:
+        merged[twist] = merged.get(twist, 0) + mult
+    return merged
+
+
+def assert_bundle_matches(gb, merged):
+    """Every derived view of `gb` against the merged pairs, rebuilt by hand."""
+    summands = tuple((t, merged[t]) for t in sorted(merged, reverse=True) if merged[t])
+    assert gb.summands == summands
+    assert gb == GradedBundle(summands)
+    assert gb.rank == sum(m for _, m in summands)
+    coeffs = [0] * (1 - min((t for t, _ in summands), default=1))
+    for t, m in summands:
+        coeffs[-t] = m
+    assert gb.numerator() == polynomial(coeffs)
+    names = [("O" if t == 0 else f"O({t})") + ("" if m == 1 else f"^{m}") for t, m in summands]
+    assert gb.describe() == " + ".join(names)
+    for l in (1, 2, 7):
+        for n in range(-5, 40):
+            expected = all(n + t >= -l for t, _ in summands)
+            assert higher_cohomology_vanishes(gb, l, n) == expected, (l, n)
+
+
+# pairs in any order, with repeated twists, zero multiplicities and
+# cancelling ones (a genus-2 increment carries (-3, 0) at r = 1)
+pair_lists = st.lists(st.tuples(st.integers(-30, 0), st.integers(-3, 9)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists, pair_lists)
+def test_bundle_views_equal_a_dict_merge(pairs, more):
+    merged = merged_oracle(pairs)
+    if min(merged.values(), default=0) < 0:
+        with pytest.raises(AssertionError):
+            GradedBundle.from_summands(pairs)
+        return
+    gb = GradedBundle.from_summands(pairs)
+    assert_bundle_matches(gb, merged)
+    both = merged_oracle([*pairs, *more])
+    if min(both.values(), default=0) >= 0:
+        assert_bundle_matches(gb.union(more), both)
+
+
+def test_empty_bundle_views():
+    for pairs in ([], [(-3, 0)], [(-2, 3), (-2, -3)], [(0, 1), (-4, 0), (0, -1)]):
+        gb = GradedBundle.from_summands(pairs)
+        assert gb == GradedBundle(())
+        assert_bundle_matches(gb, merged_oracle(pairs))
+        assert (gb.summands, gb.rank, gb.describe()) == ((), 0, "")
+        assert all(higher_cohomology_vanishes(gb, 1, n) for n in range(-50, 5))
+    # the genus-2 increment at r = 1 merges its zero multiplicity away
+    increment = ratsurf.theta._SPLITTINGS[Branch.GENUS_TWO].increment(1)
+    assert (-3, 0) in increment
+    assert GradedBundle.from_summands([(0, 1), *increment]).summands == ((0, 1), (-2, 3))
+
+
 # --------------------------------------------------------------------- series
 
 
