@@ -71,23 +71,11 @@ from .theta import (
 
 DEFAULT_TRUNC_CAP = 200
 DEFAULT_R_CAP = 1000
-ALL_CHECKS = ("conditions", "zseries", "invariants", "g2cohom", "dualizing")
 DEFAULT_CHECKS = ("zseries", "invariants")
 
 _DETAIL_DISPLAY_LIMIT = 50
 # per tower branch, the `invariants` entry for `step_failure`: power s plus its increment is s+1
 _STEP_CHECKS = {Branch.GENUS_ONE: "sequence-additivity", Branch.GENUS_TWO: "recursion"}
-
-
-def _cap(env_name: str, default: int) -> int:
-    raw = os.environ.get(env_name, str(default))
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ClassParseError(f"{env_name} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ClassParseError(f"{env_name} must be >= 0, got {cap}")
-    return cap
 
 
 @functools.cache
@@ -149,7 +137,14 @@ def _parse_context(args) -> tuple[Surface, DivisorClass]:
 
 
 def _validate(option: str, value: int, low: int, env_name: str, default_cap: int) -> int:
-    cap = _cap(env_name, default_cap)
+    """`value`, refused below `low` or above the cap that `env_name` overrides."""
+    raw = os.environ.get(env_name, str(default_cap))
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ClassParseError(f"{env_name} must be an integer, got {raw!r}") from exc
+    if cap < 0:
+        raise ClassParseError(f"{env_name} must be >= 0, got {cap}")
     if value < low:
         raise ClassParseError(f"--{option} must be >= {low}, got {value}")
     if value > cap:
@@ -250,13 +245,14 @@ def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str 
     ], ample
 
 
-def _check_entry(name: str, passed: bool, witness: str | None) -> dict:
-    return {"name": name, "pass": passed, "witness": witness}
+def _entry(name: str, failure: str | None, passing: str | None = None) -> dict:
+    """A check fails with the witness `failure`, or passes with `passing`."""
+    witness = passing if failure is None else failure
+    return {"name": name, "pass": failure is None, "witness": witness}
 
 
 def _condition_entry(surface: Surface, rep: ConditionReport) -> dict:
-    witness = None if rep.witness is None else describe(surface, rep.witness)
-    return _check_entry(rep.condition, rep.passed, witness)
+    return _entry(rep.condition, None if rep.passed else describe(surface, rep.witness))
 
 
 def _cmd_conditions(args) -> int:
@@ -297,82 +293,79 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     return names
 
 
+def _check_conditions(series: ThetaSeries, ample_text: str | None):
+    yield from _condition_reports(series.ctx.surface, series.ctx.L, ample_text)[0]
+
+
+def _check_zseries(series: ThetaSeries, ample_text: str | None):
+    failures = (
+        f"n={n}: closed form {h0} != summand count {summed}"
+        for n, (h0, summed) in enumerate(zip(series.h0.coeffs, series.summed.coeffs))
+        if h0 != summed
+    )
+    yield _entry("series-consistency", next(failures, None))
+
+
+def _check_invariants(series: ThetaSeries, ample_text: str | None):
+    branch, rank, expected = series.ctx.branch, series.split.bundle.rank, series.split.expected_rank
+    yield _entry("rank", None if rank == expected else f"rank {rank} != {expected}")
+    if branch in _STEP_CHECKS:
+        bad = step_failure(branch, max(2, series.r))
+        yield _entry(_STEP_CHECKS[branch], None if bad is None else f"fails at power {bad}")
+    h0, chi = series.h0.coeffs, series.chi.coeffs
+    yield _entry("no-higher-cohomology", next(
+        (f"n={n}: chi {c} != h0 {h}" for n, (c, h) in enumerate(zip(chi, h0)) if c != h), None
+    ))
+    yield _entry("nonnegative-coefficients", next(
+        (f"coefficient of t^{n} is {h}" for n, h in enumerate(h0) if h < 0), None
+    ))
+
+
+def _check_g2cohom(series: ThetaSeries, ample_text: str | None):
+    ctx, top = series.ctx, max(2, series.r)
+    if ctx.branch is not Branch.GENUS_TWO:
+        raise UnsupportedBranchError(
+            "the genus-2 cohomology check applies only to the genus-2 classes "
+            "2G+(e+3)F on F_0 and F_1"
+        )
+    powers = range(2, top + 1)
+    bad = next((s for s in powers if not verify_genus2_cohomology(ctx.surface.e, s).ok), None)
+    yield _entry(
+        "genus2-cohomology",
+        None if bad is None else f"fails at power {bad}",
+        f"verified h0 = r+1, h1 = r-2 and vanishings for r in [2, {top}]",
+    )
+
+
+def _check_dualizing(series: ThetaSeries, ample_text: str | None):
+    twist = dualizing_twist(series.ctx.surface, series.ctx.L)
+    passing = f"twist L.K = {twist}; restriction to each support fiber is trivial"
+    yield _entry("dualizing-twist", None, passing)
+
+
+#: The report checks by name, in the order `--checks` lists them.  Each is a
+#: generator over the series and the --ample text: it yields its entries, and
+#: A1-A3 as condition reports, whose details the text view prints too.
+_CHECKS = {
+    "conditions": _check_conditions,
+    "zseries": _check_zseries,
+    "invariants": _check_invariants,
+    "g2cohom": _check_g2cohom,
+    "dualizing": _check_dualizing,
+}
+ALL_CHECKS = tuple(_CHECKS)
+
+
 def _run_checks(series: ThetaSeries, checks: tuple[str, ...], ample_text: str | None):
     """Run the checks in order; each reads the columns it needs from `series`."""
-    ctx, r, surface = series.ctx, series.r, series.ctx.surface
     entries: list[dict] = []
     condition_reports: list[ConditionReport] = []
-
-    def add(name: str, passed: bool, witness: str | None) -> None:
-        entries.append(_check_entry(name, passed, witness))
-
-    def add_first(name: str, bad: Callable[[int], bool], witness: Callable[[int], str]) -> None:
-        """Passes when no n in 0..trunc is bad; the witness names the first that is."""
-        n = next((n for n in range(series.trunc + 1) if bad(n)), None)
-        add(name, n is None, None if n is None else witness(n))
-
     for check in checks:
-        if check == "conditions":
-            reports, _ = _condition_reports(surface, ctx.L, ample_text)
-            entries += [_condition_entry(surface, rep) for rep in reports]
-            condition_reports += reports
-        elif check == "zseries":
-            closed, summed = series.h0, series.summed
-            add_first(
-                "series-consistency",
-                lambda n: closed[n] != summed[n],
-                lambda n: f"n={n}: closed form {closed[n]} != summand count {summed[n]}",
-            )
-        elif check == "invariants":
-            gb, expected = series.split.bundle, series.split.expected_rank
-            add(
-                "rank",
-                gb.rank == expected,
-                None if gb.rank == expected else f"rank {gb.rank} != {expected}",
-            )
-            if ctx.branch in _STEP_CHECKS:
-                bad = step_failure(ctx.branch, max(2, r))
-                add(
-                    _STEP_CHECKS[ctx.branch],
-                    bad is None,
-                    None if bad is None else f"fails at power {bad}",
-                )
-            h0, chi = series.h0, series.chi
-            add_first(
-                "no-higher-cohomology",
-                lambda n: chi[n] != h0[n],
-                lambda n: f"n={n}: chi {chi[n]} != h0 {h0[n]}",
-            )
-            add_first(
-                "nonnegative-coefficients",
-                lambda n: h0[n] < 0,
-                lambda n: f"coefficient of t^{n} is {h0[n]}",
-            )
-        elif check == "g2cohom":
-            if ctx.branch is not Branch.GENUS_TWO:
-                raise UnsupportedBranchError(
-                    "the genus-2 cohomology check applies only to the genus-2 classes "
-                    "2G+(e+3)F on F_0 and F_1"
-                )
-            top = max(2, r)
-            bad = next(
-                (s for s in range(2, top + 1) if not verify_genus2_cohomology(ctx.surface.e, s).ok),
-                None,
-            )
-            add(
-                "genus2-cohomology",
-                bad is None,
-                f"verified h0 = r+1, h1 = r-2 and vanishings for r in [2, {top}]"
-                if bad is None
-                else f"fails at power {bad}",
-            )
-        elif check == "dualizing":
-            twist = dualizing_twist(surface, ctx.L)
-            add(
-                "dualizing-twist",
-                True,
-                f"twist L.K = {twist}; restriction to each support fiber is trivial",
-            )
+        for item in _CHECKS[check](series, ample_text):
+            if isinstance(item, ConditionReport):
+                condition_reports.append(item)
+                item = _condition_entry(series.ctx.surface, item)
+            entries.append(item)
     return entries, condition_reports
 
 

@@ -139,6 +139,9 @@ class KindRules(NamedTuple):
     rigid: Callable[[int, Coeffs], bool] | None  # A1's permitted exceptions
     base_point_free: Callable[[int, Coeffs], bool]
     positive_genus_family: Callable[[int, Coeffs], bool]
+    # whether some class 0 < D <= L of an effective L has genus > 0; None where
+    # `classify_branch` walks the box below L instead
+    positive_genus_below: Callable[[int, Coeffs], bool] | None
 
 
 def _nonnegative(e: int, c: Coeffs) -> bool:
@@ -159,6 +162,7 @@ KIND_RULES = {
         rigid=lambda e, c: False,
         base_point_free=lambda e, c: True,
         positive_genus_family=lambda e, c: c[0] >= 3,
+        positive_genus_below=lambda e, c: c[0] >= 3,  # g(dH) = (d-1)(d-2)/2
     ),
     SurfaceKind.HIRZEBRUCH: KindRules(
         h0=lambda e, c: _h0_hirzebruch(e, *c),
@@ -169,6 +173,9 @@ KIND_RULES = {
         rigid=lambda e, c: e == 1 and c in ((1, 0), (2, 0)),  # G and 2G on F_1
         base_point_free=_nef_on_ruling,
         positive_genus_family=lambda e, c: e in (0, 1) and c[0] == 2 and c[1] > max(1, 2 * e),
+        # g(iG+jF) = (i-1)(j - 1 - e*i/2) is largest at j = b, and its sign is
+        # that of b - 1 - e at i = 2, so i = 2 decides
+        positive_genus_below=lambda e, c: c[0] >= 2 and c[1] >= e + 2,
     ),
     SurfaceKind.BLOWUP_HIRZEBRUCH: KindRules(
         h0=lambda e, c: h0_blowup(e, c[0], c[1], -c[2]),
@@ -182,6 +189,7 @@ KIND_RULES = {
         rigid=None,
         base_point_free=_nef_on_ruling,
         positive_genus_family=lambda e, c: False,
+        positive_genus_below=None,
     ),
 }
 

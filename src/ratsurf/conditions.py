@@ -27,9 +27,10 @@ anything else is unsupported.
 
 Each surface fact is written once: a kind's name, description and canonical
 class are set by its constructor in `picard`, and its numeric rules
-(effectivity, very ampleness, A1's rigid classes, the base-point-free marker
-and the positive-genus family) by its entry in `cohom.KIND_RULES`, which every
-function here reads instead of comparing kinds.
+(effectivity, very ampleness, A1's rigid classes, the base-point-free marker,
+the positive-genus family and whether a positive-genus class lies below L) by
+its entry in `cohom.KIND_RULES`, which every function here reads instead of
+comparing kinds.
 """
 
 from __future__ import annotations
@@ -159,14 +160,18 @@ def is_effective(surface: Surface, d: DivisorClass) -> bool:
     return rule(surface.e, d.coeffs) or h0_class(surface, d) > 0
 
 
+def _refuse_non_effective(surface: Surface, L: DivisorClass) -> None:
+    if not is_effective(surface, L):
+        raise ValueError(f"{format_divisor(surface, L)} is not effective on {surface.name}")
+
+
 def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[DivisorClass]:
     """All classes D with 0 < D <= L (both D and L-D effective), sorted.
 
     Every such D lies in the box between 0 and L, walked in sorted order, and
     the kind's effective-or-zero rule tests D and L-D (on the plane and on
     F_e every box class passes)."""
-    if not is_effective(surface, L):
-        raise ValueError(f"{format_divisor(surface, L)} is not effective on {surface.name}")
+    _refuse_non_effective(surface, L)
     rule, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
     spans = [range(min(c, 0), max(c, 0) + 1) for c in L.coeffs]
     # L - D for each D of the box, walked in step with it
@@ -358,9 +363,18 @@ def _in_positive_genus_family(surface: Surface, L: DivisorClass) -> bool:
 
 
 def classify_branch(surface: Surface, L: DivisorClass) -> Branch:
-    """Sort an effective class into the regime its series is computed by."""
-    below = enumerate_effective_below(surface, L)  # raises if L is not effective
-    if all(arithmetic_genus(surface, d) <= 0 for d in below):
+    """Sort an effective class into the regime its series is computed by.
+
+    Whether some class below L has positive genus is the kind's
+    `positive_genus_below` rule; a kind without one walks the box below L."""
+    rule = KIND_RULES[surface.kind].positive_genus_below
+    if rule is None:
+        below = enumerate_effective_below(surface, L)  # raises if L is not effective
+        positive_below = any(arithmetic_genus(surface, d) > 0 for d in below)
+    else:
+        _refuse_non_effective(surface, L)
+        positive_below = rule(surface.e, L.coeffs)
+    if not positive_below:
         return Branch.GENUS_NONPOSITIVE
     if _in_positive_genus_family(surface, L):
         g = arithmetic_genus(surface, L)

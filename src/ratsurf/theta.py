@@ -12,7 +12,9 @@ point-orthogonal classes, so the series
 is controlled entirely by the splitting of the pushforward of theta^r into
 line-bundle twists on P^l.  A twist O(t)^m with t <= 0 contributes
 m t^(-t) / (1-t)^(l+1), so the numerator of Z^r(t) is the sum of m t^(-t)
-over the splitting.
+over the splitting.  A `GradedBundle` therefore holds its splitting as the
+dense vector m, m[k] the multiplicity of O(-k), which is the numerator's
+coefficient vector; the summand pairs and the rank are read off it.
 
 `_SPLITTINGS` is the one place a splitting is written.  Per branch it holds
 the head, the splitting at the lowest tabulated power; the block each further
@@ -30,13 +32,13 @@ family is refused at every power, r = 1 included.
 
 `ThetaSeries` holds the splitting, the numerator and three columns for
 n = 0..trunc: `h0` expands the numerator by exact running sums; `summed`
-reads h^0(P^l, O(j)) once per degree j <= trunc and the multiplicities into a
-dense list indexed by -t (twists below -trunc have no sections there), and
-takes coefficient n as one C-level `sum(map(mul, ...))` pairing the twists
-0, -1, .. with the degrees n, n-1, ..; `chi`, a polynomial of degree l in n,
-is summed over the splitting at n = 0..l from one binomial per argument and
-extended past l through its vanishing (l+1)-th difference, one
-`sum(map(mul, ...))` of the l+1 previous values per n.  The two h0
+reads h^0(P^l, O(j)) once per degree j <= trunc and m up to index trunc
+(twists below -trunc have no sections there), and takes coefficient n as one
+C-level `sum(map(mul, ...))` pairing the twists 0, -1, .. with the degrees
+n, n-1, ..; `chi`, a polynomial of degree l in n, is summed over m reversed
+at n = 0..l from one binomial per argument and extended past l through its
+vanishing (l+1)-th difference, one `sum(map(mul, ...))` of the l+1 previous
+values per n.  The two h0
 routes stay independent (the numerator and `powerseries` against the
 summands and `cohom`), so a slip in either shows as a mismatch.  Because
 power s+1 is power s plus one block, `step_failure` checks every tabulated
@@ -71,7 +73,6 @@ from .powerseries import (
     binom_polynomial,
     expand_rational_gf,
     gf_coefficient,
-    polynomial,
 )
 
 __all__ = [
@@ -96,47 +97,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedBundle:
-    """Direct sum of twists O(t)^m on P^l: (twist, multiplicity) pairs.
-
-    Twists are <= 0, sorted descending, equal twists merged.
+    """Direct sum of twists O(-k)^m[k] on P^l, held as the dense vector m with
+    no trailing zero: the coefficient vector of its section series' numerator.
+    `GradedBundle(pairs)` takes (twist, multiplicity) pairs merged and sorted by
+    descending twist, and refuses any other; `from_summands` adds them in any order.
     """
 
-    summands: tuple[tuple[int, int], ...]
+    m: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for twist, mult in self.summands:
-            if twist > 0:
-                raise AssertionError(f"positive twist {twist} in graded bundle")
-            if mult <= 0:
-                raise AssertionError(f"non-positive multiplicity {mult} in graded bundle")
-        twists = [t for t, _ in self.summands]
-        if twists != sorted(twists, reverse=True) or len(set(twists)) != len(twists):
-            raise AssertionError("summands must be merged and sorted by descending twist")
+    def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "m", GradedBundle.from_summands(summands).m)
+        if self.summands != tuple(summands):  # a pair was unsorted, unmerged or empty
+            raise AssertionError("summands must be positive, merged and sorted by descending twist")
 
     @staticmethod
     def from_summands(pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
-        merged: dict[int, int] = {}
+        pairs = list(pairs)
+        twists = [t for t, _ in pairs]
+        if max(twists, default=0) > 0:
+            raise AssertionError(f"positive twist {max(twists)} in graded bundle")
+        m = [0] * (1 - min(twists, default=0))
         for twist, mult in pairs:
-            merged[twist] = merged.get(twist, 0) + mult
-        return GradedBundle(
-            tuple((t, merged[t]) for t in sorted(merged, reverse=True) if merged[t])
-        )
+            m[-twist] += mult
+        while m and not m[-1]:
+            m.pop()
+        if m and min(m) < 0:
+            raise AssertionError(f"non-positive multiplicity {min(m)} in graded bundle")
+        gb = object.__new__(GradedBundle)
+        object.__setattr__(gb, "m", tuple(m))
+        return gb
+
+    @property
+    def summands(self) -> tuple[tuple[int, int], ...]:
+        """The (twist, multiplicity) pairs, by descending twist."""
+        return tuple((-k, mult) for k, mult in enumerate(self.m) if mult)
 
     @property
     def rank(self) -> int:
-        return sum(m for _, m in self.summands)
+        return sum(self.m)
 
     def union(self, pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
-        return GradedBundle.from_summands(list(self.summands) + list(pairs))
+        return GradedBundle.from_summands([*self.summands, *pairs])
 
     def numerator(self) -> Polynomial:
         """Sum of m t^(-t): the numerator of its section series over (1-t)^(l+1)."""
-        coeffs = [0] * (1 - self.summands[-1][0]) if self.summands else []
-        for twist, mult in self.summands:
-            coeffs[-twist] = mult
-        return polynomial(coeffs)
+        return Polynomial(self.m)
 
     def euler_char(self, l: int, n: int) -> int:
         """chi(P^l, E(n)) with chi(P^l, O(m)) = C(m+l, l) as the binomial polynomial."""
@@ -293,15 +300,12 @@ class ThetaSeries:
     @cached_property
     def chi(self) -> SeriesCoefficients:
         """chi from the splitting at n <= l, then by the vanishing (l+1)-th difference."""
-        l, trunc, summands = self.ctx.l, self.trunc, self.split.bundle.summands
+        l, trunc, m = self.ctx.l, self.trunc, self.split.bundle.m
         seed = range(min(trunc, l) + 1)
-        # multiplicities by twist from the lowest up, and one binomial per
-        # argument n + t + l the seed meets: binom[i] is C(low + i + l, l)
-        low = summands[-1][0]
-        mults = [0] * (summands[0][0] - low + 1)
-        for t, m in summands:
-            mults[t - low] = m
-        binom = [binom_polynomial(x + l, l) for x in range(low, low + len(mults) + len(seed) - 1)]
+        # m from the lowest twist t = 1 - len(m) up, and one binomial per
+        # argument n + t + l the seed meets
+        mults = m[::-1]
+        binom = [binom_polynomial(x + l, l) for x in range(1 - len(m), len(seed))]
         chi = [sum(map(mul, mults, binom[n:])) for n in seed]
         # chi(n) = sum_{k=1..l+1} (-1)^(k+1) C(l+1, k) chi(n-k), weights[i] for k = l+1-i
         if trunc > l:
@@ -326,13 +330,10 @@ def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoeffici
             f"dim|L| = {l}: the summand-by-summand series needs a linear system of "
             "dimension >= 1; rigid classes are outside the verified scope"
         )
-    # h^0(O(j)) from j = trunc down, and the multiplicity of each twist t >= -trunc
-    # by -t; coefficient n pairs the twists 0, -1, .. with the degrees n, n-1, ..
+    # h^0(O(j)) from j = trunc down, and the multiplicities of the twists
+    # t >= -trunc; coefficient n pairs the twists 0, -1, .. with the degrees n, n-1, ..
     h0 = [cohomology_projective_space(l, j).h0 for j in range(trunc, -1, -1)]
-    mults = [0] * (min(trunc, -gb.summands[-1][0]) + 1 if gb.summands else 0)
-    for t, m in gb.summands:
-        if -t <= trunc:
-            mults[-t] = m
+    mults = gb.m[: trunc + 1]
     width = len(mults)
     return SeriesCoefficients(
         trunc,
@@ -358,7 +359,7 @@ def euler_char_lambda(ctx: ThetaContext, r: int, n: int) -> int:
 
 def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
     """True when every summand O(n+t) on P^l has vanishing top cohomology."""
-    return all(n + t >= -l for t, _ in gb.summands)
+    return not gb.m or n - len(gb.m) + 1 >= -l  # the lowest twist is 1 - len(m)
 
 
 def step_failure(branch: Branch, top: int, start: int | None = None) -> int | None:

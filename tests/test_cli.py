@@ -388,6 +388,20 @@ def test_over_cap_conditions_exit_before_a1_walks_the_box(capsys, monkeypatch):
     assert calls == []
 
 
+def test_over_cap_report_exits_before_any_box_walk(capsys, monkeypatch):
+    # the branch is read off the kind's rule, so an over-cap report reaches
+    # the conditions check's cap without listing a box below L
+    calls = []
+    walk = conditions.enumerate_effective_below
+    monkeypatch.setattr(
+        conditions, "enumerate_effective_below", lambda s, L: calls.append(L) or walk(s, L)
+    )
+    argv = ["report", "--surface", "f1", "--class", "700G+700F", "--checks", "conditions"]
+    message = "error: coefficient sum 1400 of 700G+700F exceeds the decomposition cap 24\n"
+    assert run_cli(capsys, *argv) == (4, "", message)
+    assert calls == []
+
+
 def test_exit_code_5_on_internal_invariant_failure(capsys, monkeypatch):
     def broken(surface, L):
         raise AssertionError("summands must be merged and sorted\nsecond line")

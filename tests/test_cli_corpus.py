@@ -92,3 +92,59 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Zero, rigid, non-effective, blowup, tower and over-cap classes per surface.
+GRID_CLASSES = {
+    "p2": ["0", "H", "2H", "3H", "4H", "-2H", "25H"],
+    "f0": ["0", "F", "2G+2F", "2G+3F", "-F", "13G+12F"],
+    "f1": ["0", "G", "2G+3F", "2G+4F", "-G", "700G+700F"],
+    "f2": ["0", "G", "2G+6F", "G-F"],
+    "f0b": ["0", "2F-E", "G+F-E", "4F-2E", "2G+3F-E"],
+    "f1b": ["E", "2F-E", "2G-E", "20G+20F"],
+}
+GRID_CHECKS = ["zseries", "conditions,invariants", "g2cohom", "dualizing,zseries,zseries", "foo"]
+
+
+def robustness_grid():
+    """Every subcommand on each grid class, in text and json (csv for the
+    series commands), with the --r, --trunc and --checks error paths."""
+    for surface, classes in GRID_CLASSES.items():
+        for cls in classes:
+            common = ["--surface", surface, f"--class={cls}"]
+            for command in ("genus", "cohom", "conditions"):
+                for fmt in ("text", "json"):
+                    yield [command, *common, "--format", fmt]
+            yield ["conditions", *common, "--ample", "2X"]
+            for fmt in ("text", "json", "csv"):
+                yield ["zseries", *common, "--r", "2", "--trunc", "5", "--format", fmt]
+                for checks in GRID_CHECKS:
+                    yield ["report", *common, "--r", "2", "--trunc", "5", "--format", fmt,
+                           "--checks", checks]
+            for option, value in (("--r", "0"), ("--r", "1001"), ("--trunc", "-1"),
+                                  ("--trunc", "201"), ("--r", "x"), ("--checks", " , ")):
+                yield ["report", *common, option, value]
+    yield ["report", "--help"]
+    yield ["genus", "--surface", "p2"]
+
+
+def test_robustness_grid_exits_cleanly():
+    # each exit code is 0-4 and nothing escapes main; a refusal by ratsurf
+    # (not an argparse usage error) prints nothing but one `error: ` line
+    seen, bad = set(), []
+    for argv in robustness_grid():
+        try:
+            rc, out, err = run_in_process(argv)
+        except BaseException as exc:  # any escape is a finding
+            bad.append((argv, repr(exc)))
+            continue
+        seen.add(rc)
+        if rc not in range(5):
+            bad.append((argv, rc))
+        elif rc >= 2 and not err.startswith("usage:"):
+            if out or not err.startswith("error: ") or err.count("\n") != 1 or err[-1] != "\n":
+                bad.append((argv, rc, out[:80], err[:200]))
+        elif rc < 2 and err:
+            bad.append((argv, rc, err[:200]))
+    assert not bad, bad[:5]
+    assert seen == {0, 1, 2, 3, 4}

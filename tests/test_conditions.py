@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsurf import (
     Branch,
@@ -33,6 +35,7 @@ from ratsurf import (
     linear_system_dim,
     projective_plane,
 )
+from ratsurf.cohom import KIND_RULES
 
 P2 = projective_plane()
 F0 = hirzebruch(0)
@@ -653,3 +656,43 @@ def test_classify_branch_blowup_classes():
 def test_classify_branch_rejects_non_effective():
     with pytest.raises(ValueError):
         classify_branch(P2, divisor(-3))
+
+
+def walk_positive_genus_below(surface, L):
+    """The walk oracle: some class 0 < D <= L has positive genus."""
+    return any(arithmetic_genus(surface, d) > 0 for d in enumerate_effective_below(surface, L))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(-2, 11), st.integers(-2, 15), st.integers(-2, 29))
+def test_positive_genus_below_rule_equals_the_walk(e, a, b, d):
+    # the kinds' O(a) rule against the box walk it replaces in classify_branch;
+    # a non-effective class is refused first, with the walk's message
+    for surface, L in ((hirzebruch(e), divisor(a, b)), (P2, divisor(d))):
+        rule = KIND_RULES[surface.kind].positive_genus_below
+        if not is_effective(surface, L):
+            with pytest.raises(ValueError) as walked:
+                enumerate_effective_below(surface, L)
+            with pytest.raises(ValueError) as classified:
+                classify_branch(surface, L)
+            assert str(classified.value) == str(walked.value)
+            continue
+        positive = walk_positive_genus_below(surface, L)
+        assert rule(surface.e, L.coeffs) == positive, (surface.name, L)
+        nonpositive = classify_branch(surface, L) is Branch.GENUS_NONPOSITIVE
+        assert nonpositive == (not positive), (surface.name, L)
+    # blowups keep the walk
+    assert KIND_RULES[blowup_hirzebruch(e).kind].positive_genus_below is None
+
+
+def test_classify_branch_walks_no_box_off_the_blowups(monkeypatch):
+    calls = []
+    walk = conditions.enumerate_effective_below
+    monkeypatch.setattr(
+        conditions, "enumerate_effective_below", lambda s, L: calls.append(L) or walk(s, L)
+    )
+    assert classify_branch(hirzebruch(1), divisor(3000, 3000)) is Branch.UNSUPPORTED
+    assert classify_branch(P2, divisor(3000)) is Branch.POSITIVE_GENUS_GENERAL
+    assert calls == []
+    assert classify_branch(blowup_hirzebruch(0), divisor(1, 1, -1)) is Branch.GENUS_NONPOSITIVE
+    assert calls == [divisor(1, 1, -1)]
