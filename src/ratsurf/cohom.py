@@ -173,8 +173,8 @@ KIND_RULES = {
         rigid=lambda e, c: e == 1 and c in ((1, 0), (2, 0)),  # G and 2G on F_1
         base_point_free=_nef_on_ruling,
         positive_genus_family=lambda e, c: e in (0, 1) and c[0] == 2 and c[1] > max(1, 2 * e),
-        # g(iG+jF) = (i-1)(j - 1 - e*i/2) is largest at j = b, and its sign is
-        # that of b - 1 - e at i = 2, so i = 2 decides
+        # g(iG+jF) = (i-1)(j-1-e*i/2) is <= 0 for i <= 1, and for i >= 2 it is
+        # largest at j = b and i = 2, where it is b-1-e
         positive_genus_below=lambda e, c: c[0] >= 2 and c[1] >= e + 2,
     ),
     SurfaceKind.BLOWUP_HIRZEBRUCH: KindRules(

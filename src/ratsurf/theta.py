@@ -109,7 +109,7 @@ class GradedBundle:
 
     def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
         object.__setattr__(self, "m", GradedBundle.from_summands(summands).m)
-        if self.summands != tuple(summands):  # a pair was unsorted, unmerged or empty
+        if self.summands != tuple(summands):  # a pair out of order, repeated or not positive
             raise AssertionError("summands must be positive, merged and sorted by descending twist")
 
     @staticmethod

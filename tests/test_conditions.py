@@ -684,15 +684,3 @@ def test_positive_genus_below_rule_equals_the_walk(e, a, b, d):
     # blowups keep the walk
     assert KIND_RULES[blowup_hirzebruch(e).kind].positive_genus_below is None
 
-
-def test_classify_branch_walks_no_box_off_the_blowups(monkeypatch):
-    calls = []
-    walk = conditions.enumerate_effective_below
-    monkeypatch.setattr(
-        conditions, "enumerate_effective_below", lambda s, L: calls.append(L) or walk(s, L)
-    )
-    assert classify_branch(hirzebruch(1), divisor(3000, 3000)) is Branch.UNSUPPORTED
-    assert classify_branch(P2, divisor(3000)) is Branch.POSITIVE_GENUS_GENERAL
-    assert calls == []
-    assert classify_branch(blowup_hirzebruch(0), divisor(1, 1, -1)) is Branch.GENUS_NONPOSITIVE
-    assert calls == [divisor(1, 1, -1)]
