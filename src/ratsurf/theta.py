@@ -38,14 +38,13 @@ C-level `sum(map(mul, ...))` pairing the twists 0, -1, .. with the degrees
 n, n-1, ..; `chi`, a polynomial of degree l in n, is summed over m reversed
 at n = 0..l from one binomial per argument and extended past l through its
 vanishing (l+1)-th difference, one `sum(map(mul, ...))` of the l+1 previous
-values per n.  The two h0
-routes stay independent (the numerator and `powerseries` against the
-summands and `cohom`), so a slip in either shows as a mismatch.  Because
-power s+1 is power s plus one block, `step_failure` checks every tabulated
-branch (the genus-1 sequence additivity and the genus-2 recursion alike) by
-comparing the increment of each power s with the block of s+1: linear work
-up to r, and a slip in the increments or in the blocks shows at the first
-power it touches.
+values per n.  The two h0 routes stay independent (the numerator and
+`powerseries` against the summands and `cohom`), so a slip in either shows
+as a mismatch.  Because power s+1 is power s plus one block, `step_failure`
+checks every tabulated branch (the genus-1 sequence additivity and the
+genus-2 recursion alike) by comparing the increment of each power s with the
+block of s+1: linear work up to r, and a slip in the increments or in the
+blocks shows at the first power it touches.
 """
 
 from __future__ import annotations
