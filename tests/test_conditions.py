@@ -293,6 +293,15 @@ def test_enumerate_decompositions_examples():
     ]
 
 
+def assert_in_index_order(surface, L, decs):
+    """Each decomposition's part indices, taken in the sorted classes below L,
+    rise lexicographically from one decomposition to the next."""
+    index = {d: i for i, d in enumerate(enumerate_effective_below(surface, L))}
+    keys = [tuple(index[p] for p in dec.parts) for dec in decs]
+    assert all(k == tuple(sorted(k)) for k in keys), (surface.name, L)
+    assert all(a < b for a, b in zip(keys, keys[1:])), (surface.name, L)
+
+
 def test_enumerate_decompositions_against_oracle():
     cases = [
         (P2, divisor(4)),
@@ -301,9 +310,17 @@ def test_enumerate_decompositions_against_oracle():
         (F1, divisor(1, 3)),
         (hirzebruch(2), divisor(2, 2)),
     ]
+    cases += [
+        (blowup_hirzebruch(e), divisor(a, b, c))
+        for e in range(3)
+        for a, b in ((1, 2), (2, 2))
+        for c in (0, -1)
+    ]
     for surface, L in cases:
-        got = {tuple(p.coeffs for p in dec.parts) for dec in enumerate_decompositions(surface, L)}
-        assert got == oracle_decompositions(surface, L)
+        decs = enumerate_decompositions(surface, L)
+        got = {tuple(p.coeffs for p in dec.parts) for dec in decs}
+        assert got == oracle_decompositions(surface, L), (surface.name, L)
+        assert_in_index_order(surface, L, decs)
 
 
 def test_decomposition_parts_sum_and_dedupe():
@@ -352,6 +369,7 @@ def test_blowup_decompositions_against_brute_force():
             decs = enumerate_decompositions(surface, L)
             got = {tuple(p.coeffs for p in dec.parts) for dec in decs}
             assert got == brute_force_decompositions(surface, L), (e, L)
+            assert_in_index_order(surface, L, decs)
             assert isinstance(check_a2(surface, L), ConditionReport)
             assert isinstance(check_a3(surface, L), ConditionReport)
             checked += 1
