@@ -139,9 +139,8 @@ class KindRules(NamedTuple):
     rigid: Callable[[int, Coeffs], bool] | None  # A1's permitted exceptions
     base_point_free: Callable[[int, Coeffs], bool]
     positive_genus_family: Callable[[int, Coeffs], bool]
-    # whether some class 0 < D <= L of an effective L has genus > 0; None where
-    # `classify_branch` walks the box below L instead
-    positive_genus_below: Callable[[int, Coeffs], bool] | None
+    # whether some class 0 < D <= L of an effective L has genus > 0
+    positive_genus_below: Callable[[int, Coeffs], bool]
 
 
 def _nonnegative(e: int, c: Coeffs) -> bool:
@@ -150,6 +149,13 @@ def _nonnegative(e: int, c: Coeffs) -> bool:
 
 def _nef_on_ruling(e: int, c: Coeffs) -> bool:
     return c[1] >= c[0] * e  # b >= ae on the (ambient) ruled surface
+
+
+def _positive_genus_below_ruled(e: int, c: Coeffs) -> bool:
+    # g(iG+jF) = (i-1)(j-1-e*i/2) is <= 0 for i <= 1, and for i >= 2 it is
+    # largest at j = b and i = 2, where it is b-1-e.  On the blowup a class
+    # below L is iG+jF-kE with k in {0, 1}, and g(D-kE) = g(D) - k(k-1)/2 = g(D)
+    return c[0] >= 2 and c[1] >= e + 2
 
 
 KIND_RULES = {
@@ -173,9 +179,7 @@ KIND_RULES = {
         rigid=lambda e, c: e == 1 and c in ((1, 0), (2, 0)),  # G and 2G on F_1
         base_point_free=_nef_on_ruling,
         positive_genus_family=lambda e, c: e in (0, 1) and c[0] == 2 and c[1] > max(1, 2 * e),
-        # g(iG+jF) = (i-1)(j-1-e*i/2) is <= 0 for i <= 1, and for i >= 2 it is
-        # largest at j = b and i = 2, where it is b-1-e
-        positive_genus_below=lambda e, c: c[0] >= 2 and c[1] >= e + 2,
+        positive_genus_below=_positive_genus_below_ruled,
     ),
     SurfaceKind.BLOWUP_HIRZEBRUCH: KindRules(
         h0=lambda e, c: h0_blowup(e, c[0], c[1], -c[2]),
@@ -189,7 +193,7 @@ KIND_RULES = {
         rigid=None,
         base_point_free=_nef_on_ruling,
         positive_genus_family=lambda e, c: False,
-        positive_genus_below=None,
+        positive_genus_below=_positive_genus_below_ruled,
     ),
 }
 

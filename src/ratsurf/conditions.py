@@ -160,18 +160,13 @@ def is_effective(surface: Surface, d: DivisorClass) -> bool:
     return rule(surface.e, d.coeffs) or h0_class(surface, d) > 0
 
 
-def _refuse_non_effective(surface: Surface, L: DivisorClass) -> None:
-    if not is_effective(surface, L):
-        raise ValueError(f"{format_divisor(surface, L)} is not effective on {surface.name}")
-
-
 def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[DivisorClass]:
     """All classes D with 0 < D <= L (both D and L-D effective), sorted.
 
     Every such D lies in the box between 0 and L, walked in sorted order, and
     the kind's effective-or-zero rule tests D and L-D (on the plane and on
     F_e every box class passes)."""
-    _refuse_non_effective(surface, L)
+    linear_system_dim(surface, L)  # refuses a non-effective L
     rule, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
     spans = [range(min(c, 0), max(c, 0) + 1) for c in L.coeffs]
     # L - D for each D of the box, walked in step with it
@@ -222,9 +217,9 @@ def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decompos
                 parts.pop()
 
     walk(L.coeffs, 0)
-    results.sort()
-    # index order is class order; the parts are `below`'s own classes, since
-    # A2's rows keep every decomposition
+    # the walk appends index tuples in lexicographic order (no complete tuple
+    # is a prefix of another), and index order is class order; the parts are
+    # `below`'s own classes, since A2's rows keep every decomposition
     return [Decomposition(tuple(below[i] for i in parts)) for parts in results]
 
 
@@ -279,9 +274,10 @@ def check_a1(surface: Surface, L: DivisorClass, h: DivisorClass) -> ConditionRep
 def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     """Sub-class genus test plus the decomposition dimension inequality."""
     refuse_zero_class(L)
-    below = enumerate_effective_below(surface, L)
-    # before A2(i)'s walks below each sub-class: a class over the cap is refused
+    dim_l = linear_system_dim(surface, L)  # refuses a non-effective L
+    # before any walk below L: a class over the cap is refused
     decompositions = enumerate_decompositions(surface, L)
+    below = enumerate_effective_below(surface, L)
     genus = {d.coeffs: arithmetic_genus(surface, d) for d in below}
     rows: list[Row] = []
 
@@ -296,7 +292,6 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     if not rows:
         rows.append(Row(True, None, "no positive-genus class sits below a genus <= 0 class"))
 
-    dim_l = linear_system_dim(surface, L)
     g_l = arithmetic_genus(surface, L)
     bound = dim_l + g_l
     dims = {d.coeffs: linear_system_dim(surface, d) for d in below}
@@ -309,14 +304,6 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
         template = "{}: sum dims + sum max(g,0) + 2 = {} {op} {}"
         rows.append(Row(lhs <= bound, dec, template, (dec, lhs, bound)))
     return ConditionReport.from_rows("A2", surface, rows)
-
-
-def _base_point_free(surface: Surface, L: DivisorClass) -> bool:
-    # Generic-point proxy: h^0 > 0, plus the kind's marker (the nef
-    # inequality on the ambient ruled surface).
-    if h0_class(surface, L) == 0:
-        return False
-    return KIND_RULES[surface.kind].base_point_free(surface.e, L.coeffs)
 
 
 def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
@@ -333,7 +320,8 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
 
     if g_l < 1:
         rows.append(Row(False, L, "genus {} < 1: no positive-genus smooth members (proxy)", (g_l,)))
-    if not _base_point_free(surface, L):
+    # generic-point proxy: h^0 > 0 (dim_l checked it) plus the kind's marker
+    if not KIND_RULES[surface.kind].base_point_free(surface.e, L.coeffs):
         rows.append(Row(False, L, "base-point-free marker fails (proxy)"))
 
     # rest = L - part is itself below L (or zero), so each two-part split is
@@ -358,25 +346,16 @@ def check_a3(surface: Surface, L: DivisorClass) -> ConditionReport:
     return ConditionReport.from_rows("A3", surface, rows)
 
 
-def _in_positive_genus_family(surface: Surface, L: DivisorClass) -> bool:
-    return KIND_RULES[surface.kind].positive_genus_family(surface.e, L.coeffs)
-
-
 def classify_branch(surface: Surface, L: DivisorClass) -> Branch:
     """Sort an effective class into the regime its series is computed by.
 
     Whether some class below L has positive genus is the kind's
-    `positive_genus_below` rule; a kind without one walks the box below L."""
-    rule = KIND_RULES[surface.kind].positive_genus_below
-    if rule is None:
-        below = enumerate_effective_below(surface, L)  # raises if L is not effective
-        positive_below = any(arithmetic_genus(surface, d) > 0 for d in below)
-    else:
-        _refuse_non_effective(surface, L)
-        positive_below = rule(surface.e, L.coeffs)
-    if not positive_below:
+    `positive_genus_below` rule, and the family its `positive_genus_family`."""
+    linear_system_dim(surface, L)  # refuses a non-effective L
+    rules = KIND_RULES[surface.kind]
+    if not rules.positive_genus_below(surface.e, L.coeffs):
         return Branch.GENUS_NONPOSITIVE
-    if _in_positive_genus_family(surface, L):
+    if rules.positive_genus_family(surface.e, L.coeffs):
         g = arithmetic_genus(surface, L)
         if g == 1:
             return Branch.GENUS_ONE

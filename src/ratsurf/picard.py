@@ -23,8 +23,9 @@ Each kind's data (basis, Gram matrix, name, description and canonical
 class) is set once, by its constructor `projective_plane`, `hirzebruch` or
 `blowup_hirzebruch`, and stored on the frozen `Surface`.  Each kind's numeric
 rules (h^0, effectivity, very ampleness, A1's rigid classes, the
-base-point-free marker and the positive-genus family) are written once, in
-`cohom.KIND_RULES`; the conditions A1-A3 live in `conditions`.
+base-point-free marker, the positive-genus family and whether a positive-genus
+class lies below L) are written once, in `cohom.KIND_RULES`; the conditions
+A1-A3 live in `conditions`.
 
 Divisor classes print to and parse from the strings ``dH`` (plane),
 ``aG+bF`` (Hirzebruch) and ``aG+bF-cE`` (blowup), with zero terms omitted.

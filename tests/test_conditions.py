@@ -131,11 +131,11 @@ def test_every_kind_rule_matches_its_oracle():
         assert _outcome(h0_class, surface, d) == h0, (surface, d)
         effective = h0 if isinstance(h0, tuple) else h0 > 0
         assert _outcome(is_effective, surface, d) == effective, (surface, d)
-        marker = h0
-        if not isinstance(h0, tuple):
-            marker = h0 > 0 and (len(c) == 1 or c[1] >= c[0] * surface.e)
-        assert _outcome(conditions._base_point_free, surface, d) == marker, (surface, d)
-        assert conditions._in_positive_genus_family(surface, d) == family_oracle(surface, c)
+        rules = KIND_RULES[surface.kind]
+        if not isinstance(h0, tuple) and h0 > 0:  # the only classes check_a3 reaches
+            marker = len(c) == 1 or c[1] >= c[0] * surface.e
+            assert rules.base_point_free(surface.e, c) == marker, (surface, d)
+        assert rules.positive_genus_family(surface.e, c) == family_oracle(surface, c)
         if len(c) == 3:
             for rule, refusal in blowup_refusals.items():
                 assert _refusal(rule, surface, d) == refusal, (rule, surface, d)
@@ -395,7 +395,11 @@ def test_a2_refuses_an_over_cap_class_before_walking_its_sub_classes(monkeypatch
     monkeypatch.setattr(conditions, "enumerate_effective_below", counted)
     with pytest.raises(EnumerationCapError, match="exceeds the decomposition cap 24"):
         check_a2(F1, divisor(13, 12))
-    assert calls == [divisor(13, 12)]
+    assert calls == []
+    # a non-effective class is refused as such, before the cap
+    with pytest.raises(ValueError, match="^-30H is not effective on P2$"):
+        check_a2(P2, divisor(-30))
+    assert calls == []
 
 
 # ------------------------------------------------------------------ conditions
@@ -682,23 +686,51 @@ def walk_positive_genus_below(surface, L):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 5), st.integers(-2, 11), st.integers(-2, 15), st.integers(-2, 29))
-def test_positive_genus_below_rule_equals_the_walk(e, a, b, d):
-    # the kinds' O(a) rule against the box walk it replaces in classify_branch;
-    # a non-effective class is refused first, with the walk's message
-    for surface, L in ((hirzebruch(e), divisor(a, b)), (P2, divisor(d))):
-        rule = KIND_RULES[surface.kind].positive_genus_below
-        if not is_effective(surface, L):
-            with pytest.raises(ValueError) as walked:
-                enumerate_effective_below(surface, L)
-            with pytest.raises(ValueError) as classified:
-                classify_branch(surface, L)
-            assert str(classified.value) == str(walked.value)
+@given(
+    st.integers(0, 5),
+    st.integers(-2, 11),
+    st.integers(-2, 15),
+    st.integers(-2, 1),
+    st.integers(-2, 29),
+)
+def test_positive_genus_below_rule_equals_the_walk(e, a, b, k, d):
+    # each kind's rule against the box walk it replaces in classify_branch; a
+    # class the walk refuses (non-effective, or a blowup class out of scope)
+    # is refused first, with the walk's type and message
+    cases = (
+        (hirzebruch(e), divisor(a, b)),
+        (blowup_hirzebruch(e), divisor(a, b, k)),
+        (P2, divisor(d)),
+    )
+    for surface, L in cases:
+        refusal = _refusal(enumerate_effective_below, surface, L)
+        if refusal is not None:
+            assert _refusal(classify_branch, surface, L) == refusal, (surface.name, L)
             continue
         positive = walk_positive_genus_below(surface, L)
-        assert rule(surface.e, L.coeffs) == positive, (surface.name, L)
+        assert KIND_RULES[surface.kind].positive_genus_below(surface.e, L.coeffs) == positive
         nonpositive = classify_branch(surface, L) is Branch.GENUS_NONPOSITIVE
         assert nonpositive == (not positive), (surface.name, L)
-    # blowups keep the walk
-    assert KIND_RULES[blowup_hirzebruch(e).kind].positive_genus_below is None
+
+
+def test_classify_branch_never_walks_the_box(monkeypatch):
+    calls = []
+
+    def counted(surface, L):
+        calls.append((surface.name, L))
+        return enumerate_effective_below_unwrapped(surface, L)
+
+    enumerate_effective_below_unwrapped = conditions.enumerate_effective_below
+    monkeypatch.setattr(conditions, "enumerate_effective_below", counted)
+    cases = [(P2, divisor(d)) for d in (1, 3, 4, 40)]
+    for e in (0, 1, 2):
+        cases += [(hirzebruch(e), divisor(a, b)) for a, b in ((1, 3), (2, 3), (2, 4), (30, 30))]
+        cases += [
+            (blowup_hirzebruch(e), divisor(a, b, c))
+            for a, b in ((0, 2), (1, 1), (2, 4), (30, 30))
+            for c in (0, -1)
+        ]
+    branches = {classify_branch(surface, L) for surface, L in cases}
+    assert calls == []
+    assert {Branch.GENUS_NONPOSITIVE, Branch.GENUS_ONE, Branch.UNSUPPORTED} <= branches
 
