@@ -31,7 +31,7 @@ guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 from .errors import ScopeError
@@ -60,20 +60,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(namedtuple("CohomologyTable", "h0 h1 h2 chi")):
     """Dimensions h^0, h^1, h^2 together with their alternating sum."""
 
-    h0: int
-    h1: int
-    h2: int
-    chi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.h0, self.h1, self.h2) < 0:
+    def __new__(cls, h0: int, h1: int, h2: int, chi: int) -> "CohomologyTable":
+        self = tuple.__new__(cls, (h0, h1, h2, chi))
+        if min(h0, h1, h2) < 0:
             raise AssertionError(f"negative cohomology dimension in {self}")
-        if self.h0 - self.h1 + self.h2 != self.chi:
+        if h0 - h1 + h2 != chi:
             raise AssertionError(f"chi mismatch in {self}")
+        return self
 
 
 class ProjectiveSpaceCohomology(NamedTuple):

@@ -35,8 +35,8 @@ comparing kinds.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from math import gcd
@@ -85,8 +85,7 @@ class Branch(Enum):
     UNSUPPORTED = "Unsupported"
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Multiset of nonzero effective classes with a fixed sum, stored sorted."""
 
     parts: tuple[DivisorClass, ...]
@@ -132,16 +131,15 @@ class Details(Sequence):
         return row.template.format(*args, op="<=" if row.ok else ">")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    condition: str
-    passed: bool
-    witness: DivisorClass | Decomposition | None
-    details: Sequence[str]
+class ConditionReport(namedtuple("ConditionReport", "condition passed witness details")):
+    """A condition's verdict, its witness (a failing class or decomposition) and details."""
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.witness is None:
+    __slots__ = ()
+
+    def __new__(cls, condition: str, passed: bool, witness, details) -> "ConditionReport":
+        if not passed and witness is None:
             raise AssertionError("failing condition report must carry a witness")
+        return tuple.__new__(cls, (condition, passed, witness, details))
 
     @classmethod
     def from_rows(cls, condition: str, surface: Surface, rows: list[Row]) -> "ConditionReport":

@@ -21,8 +21,8 @@ blowup K is the pullback plus E.
 
 Each kind's data (basis, Gram matrix, name, description and canonical
 class) is set once, by its constructor `projective_plane`, `hirzebruch` or
-`blowup_hirzebruch`, and stored on the frozen `Surface`.  Each kind's numeric
-rules (h^0, effectivity, very ampleness, A1's rigid classes, the
+`blowup_hirzebruch`, and stored on the `Surface` named tuple.  Each kind's
+numeric rules (h^0, effectivity, very ampleness, A1's rigid classes, the
 base-point-free marker, the positive-genus family and whether a positive-genus
 class lies below L) are written once, in `cohom.KIND_RULES`; the conditions
 A1-A3 live in `conditions`.
@@ -34,9 +34,10 @@ Divisor classes print to and parse from the strings ``dH`` (plane),
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ClassParseError
 
@@ -68,15 +69,16 @@ class SurfaceKind(Enum):
     BLOWUP_HIRZEBRUCH = "blowup-hirzebruch"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "coeffs")):
     """Integer coefficient vector in the ambient surface's basis."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise ClassParseError(f"divisor coefficients must be integers: {self.coeffs!r}")
+    def __new__(cls, coeffs: tuple[int, ...]) -> "DivisorClass":
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise ClassParseError(f"divisor coefficients must be integers: {coeffs!r}")
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def is_zero(self) -> bool:
@@ -113,8 +115,7 @@ def divisor(*coeffs: int) -> DivisorClass:
     return DivisorClass(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     """A supported rational surface: its Picard basis and Gram matrix, and the
     name, description and canonical class its constructor gives it."""
 
@@ -178,17 +179,15 @@ def zero_class(surface: Surface) -> DivisorClass:
     return DivisorClass((0,) * len(surface.basis))
 
 
-@dataclass(frozen=True)
-class SheafClass:
+class SheafClass(namedtuple("SheafClass", "rank c1 chi")):
     """Numerical class of a coherent sheaf: (rank, first Chern class, chi)."""
 
-    rank: int
-    c1: DivisorClass
-    chi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ClassParseError(f"sheaf rank must be >= 0, got {self.rank}")
+    def __new__(cls, rank: int, c1: DivisorClass, chi: int) -> "SheafClass":
+        if rank < 0:
+            raise ClassParseError(f"sheaf rank must be >= 0, got {rank}")
+        return tuple.__new__(cls, (rank, c1, chi))
 
 
 def _check_class(surface: Surface, d: DivisorClass) -> None:

@@ -15,7 +15,7 @@ integers, so there is no error accumulation and no truncated division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 __all__ = [
@@ -29,15 +29,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(namedtuple("Polynomial", "coeffs")):
     """Integer polynomial; index = exponent, trailing zeros trimmed."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __new__(cls, coeffs: tuple[int, ...]) -> "Polynomial":
+        if coeffs and coeffs[-1] == 0:
             raise AssertionError("Polynomial coefficients carry a trailing zero; use polynomial()")
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def degree(self) -> int:
@@ -86,20 +86,17 @@ def gf_coefficient(numerator: Polynomial, l: int, n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(namedtuple("SeriesCoefficients", "trunc coeffs")):
     """Truncated series: coefficients of t^0 .. t^trunc."""
 
-    trunc: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.trunc}")
-        if len(self.coeffs) != self.trunc + 1:
-            raise AssertionError(
-                f"expected {self.trunc + 1} coefficients, got {len(self.coeffs)}"
-            )
+    def __new__(cls, trunc: int, coeffs: tuple[int, ...]) -> "SeriesCoefficients":
+        if trunc < 0:
+            raise ValueError(f"truncation order must be >= 0, got {trunc}")
+        if len(coeffs) != trunc + 1:
+            raise AssertionError(f"expected {trunc + 1} coefficients, got {len(coeffs)}")
+        return tuple.__new__(cls, (trunc, coeffs))
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]

@@ -50,7 +50,7 @@ blocks shows at the first power it touches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import mul
 from typing import Callable, Iterable, NamedTuple
@@ -96,20 +96,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
-class GradedBundle:
+class GradedBundle(namedtuple("GradedBundle", "m")):
     """Direct sum of twists O(-k)^m[k] on P^l, held as the dense vector m with
     no trailing zero: the coefficient vector of its section series' numerator.
     `GradedBundle(pairs)` takes (twist, multiplicity) pairs merged and sorted by
     descending twist, and refuses any other; `from_summands` adds them in any order.
     """
 
-    m: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "m", GradedBundle.from_summands(summands).m)
+    def __new__(cls, summands: tuple[tuple[int, int], ...]) -> "GradedBundle":
+        self = GradedBundle.from_summands(summands)
         if self.summands != tuple(summands):  # a pair out of order, repeated or not positive
             raise AssertionError("summands must be positive, merged and sorted by descending twist")
+        return self
 
     @staticmethod
     def from_summands(pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
@@ -124,9 +124,7 @@ class GradedBundle:
             m.pop()
         if m and min(m) < 0:
             raise AssertionError(f"non-positive multiplicity {min(m)} in graded bundle")
-        gb = object.__new__(GradedBundle)
-        object.__setattr__(gb, "m", tuple(m))
-        return gb
+        return tuple.__new__(GradedBundle, (tuple(m),))
 
     @property
     def summands(self) -> tuple[tuple[int, int], ...]:
@@ -156,8 +154,7 @@ class GradedBundle:
         return " + ".join(pieces)
 
 
-@dataclass(frozen=True)
-class ThetaContext:
+class ThetaContext(NamedTuple):
     """A surface together with an effective class and its derived data."""
 
     surface: Surface

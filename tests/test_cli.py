@@ -424,6 +424,15 @@ def test_cli_module_entry_point():
     assert proc.stdout.splitlines()[-1] == "2,55,55"
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every command pays for its process's imports, and `dataclasses`, which
+    # pulls in `inspect`, was the costliest of them
+    probe = "import ratsurf.cli, sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 # one parse error, --help, zseries (its checks come from set_defaults), a
 # report with the default checks and conditions with --ample
 REUSE_OPS = [

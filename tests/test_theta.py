@@ -1,7 +1,6 @@
 """Pushforward splittings, section-count series, and their cross-checks."""
 
 import contextlib
-import dataclasses
 import functools
 import io
 import math
@@ -369,7 +368,7 @@ def test_summand_route_matches_the_double_loop(case):
 @given(bundles_and_orders())
 def test_chi_column_is_the_euler_characteristic_at_every_n(case):
     gb, l, trunc = case
-    series = ThetaSeries(dataclasses.replace(CTX_CUBIC, l=l), 2, trunc)
+    series = ThetaSeries(CTX_CUBIC._replace(l=l), 2, trunc)
     series.split = series.split._replace(bundle=gb)
     assert series.chi.coeffs == tuple(gb.euler_char(l, n) for n in range(trunc + 1))
 
