@@ -23,6 +23,7 @@ __all__ = [
     "SeriesCoefficients",
     "polynomial",
     "binom_polynomial",
+    "binomial",
     "gf_coefficient",
     "expand_rational_gf",
     "format_polynomial",
@@ -67,6 +68,11 @@ def binom_polynomial(x: int, k: int) -> int:
     if r:
         raise AssertionError("product of consecutive integers not divisible by k!")
     return q
+
+
+def binomial(y: int, k: int) -> int:
+    """binom_polynomial(y, k) by `math.comb`, via C(y, k) = (-1)^k C(k-y-1, k) if y < 0."""
+    return math.comb(y, k) if y >= 0 else (-1) ** k * math.comb(k - y - 1, k)
 
 
 def _check_exponent(l: int) -> None:

@@ -70,6 +70,7 @@ from .powerseries import (
     Polynomial,
     SeriesCoefficients,
     binom_polynomial,
+    binomial,
     expand_rational_gf,
     gf_coefficient,
 )
@@ -301,7 +302,7 @@ class ThetaSeries:
         # m from the lowest twist t = 1 - len(m) up, and one binomial per
         # argument n + t + l the seed meets
         mults = m[::-1]
-        binom = [binom_polynomial(x + l, l) for x in range(1 - len(m), len(seed))]
+        binom = [binomial(x + l, l) for x in range(1 - len(m), len(seed))]
         chi = [sum(map(mul, mults, binom[n:])) for n in seed]
         # chi(n) = sum_{k=1..l+1} (-1)^(k+1) C(l+1, k) chi(n-k), weights[i] for k = l+1-i
         if trunc > l:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ratsurf import (
     binom_polynomial,
+    binomial,
     expand_rational_gf,
     format_polynomial,
     gf_coefficient,
@@ -69,6 +70,14 @@ def test_binom_polynomial_vanishes_in_the_gap():
     for k in range(1, 7):
         for x in range(0, k):
             assert binom_polynomial(x, k) == 0
+
+
+def test_binomial_is_binom_polynomial():
+    # the chi seed's binomial, on both sides of zero and through the gap; below
+    # zero by upper negation (Concrete Mathematics, eq. 5.14)
+    for y in range(-60, 60):
+        for k in range(25):
+            assert binomial(y, k) == binom_polynomial(y, k)
 
 
 def test_expand_examples():

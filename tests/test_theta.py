@@ -18,6 +18,7 @@ from ratsurf import (
     ThetaSeries,
     UnsupportedBranchError,
     binom_polynomial,
+    binomial,
     cohomology_projective_space,
     divisor,
     dualizing_twist,
@@ -402,7 +403,7 @@ def test_report_columns_cost_linear_work(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(ratsurf.theta, "binom_polynomial", counted("binom", binom_polynomial))
+    monkeypatch.setattr(ratsurf.theta, "binomial", counted("binom", binomial))
     monkeypatch.setattr(
         ratsurf.theta,
         "cohomology_projective_space",
