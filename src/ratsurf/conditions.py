@@ -194,7 +194,11 @@ def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decompos
     (`refuse_over_cap`).
     """
     refuse_over_cap(surface, L)
-    below = enumerate_effective_below(surface, L)
+    return _decompositions(surface, L, enumerate_effective_below(surface, L))
+
+
+def _decompositions(surface: Surface, L: DivisorClass, below: list) -> list[Decomposition]:
+    """The walk of `enumerate_decompositions`, over `below`: the classes 0 < D <= L."""
     candidates = [d.coeffs for d in below]
     zero = (0,) * len(L.coeffs)
     fits, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
@@ -273,9 +277,9 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     """Sub-class genus test plus the decomposition dimension inequality."""
     refuse_zero_class(L)
     dim_l = linear_system_dim(surface, L)  # refuses a non-effective L
-    # before any walk below L: a class over the cap is refused
-    decompositions = enumerate_decompositions(surface, L)
+    refuse_over_cap(surface, L)  # before any walk below L
     below = enumerate_effective_below(surface, L)
+    decompositions = _decompositions(surface, L, below)
     genus = {d.coeffs: arithmetic_genus(surface, d) for d in below}
     rows: list[Row] = []
 

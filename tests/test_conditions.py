@@ -402,6 +402,25 @@ def test_a2_refuses_an_over_cap_class_before_walking_its_sub_classes(monkeypatch
     assert calls == []
 
 
+def test_a2_walks_the_box_below_l_once(monkeypatch):
+    # the decompositions and the genus rows share one walk below L; each
+    # genus <= 0 class below L is walked once more, for A2(i)
+    calls = []
+
+    def counted(surface, L):
+        calls.append(L)
+        return enumerate_effective_below_unwrapped(surface, L)
+
+    enumerate_effective_below_unwrapped = conditions.enumerate_effective_below
+    monkeypatch.setattr(conditions, "enumerate_effective_below", counted)
+    L = divisor(3, 9)
+    check_a2(F1, L)
+    assert calls.count(L) == 1
+    below = enumerate_effective_below_unwrapped(F1, L)
+    assert calls[1:] == [d for d in below if arithmetic_genus(F1, d) <= 0]
+    assert len(calls) == 26
+
+
 # ------------------------------------------------------------------ conditions
 
 
