@@ -18,37 +18,21 @@ RATSURF_MAX_TRUNC and RATSURF_MAX_R environment variables override the caps,
 and are read on every call.
 
 The parser is built once per process and reused by every `main` call, so a
-caller running many commands in one process pays for it once.
+caller running many commands in one process pays for it once.  A subcommand
+imports the modules it uses when it runs: genus and conditions load cohom and
+conditions, cohom loads cohom, and report and zseries add theta and powerseries
+once their options pass; json loads only for `--format json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Callable
 
-from .cohom import KIND_RULES, cohomology_table, h0_class, linear_system_dim
-from .conditions import (
-    Branch,
-    ConditionReport,
-    check_a1,
-    check_a2,
-    check_a3,
-    classify_branch,
-    default_very_ample,
-    describe,
-    is_very_ample,
-    refuse_over_cap,
-    refuse_zero_class,
-)
-from .errors import (
-    ClassParseError,
-    EnumerationCapError,
-    UnsupportedBranchError,
-)
+from .errors import ClassParseError, EnumerationCapError, UnsupportedBranchError
 from .picard import (
     DivisorClass,
     Surface,
@@ -60,22 +44,14 @@ from .picard import (
     parse_divisor,
     surface_from_name,
 )
-from .powerseries import format_polynomial
-from .theta import (
-    ThetaSeries,
-    dualizing_twist,
-    step_failure,
-    theta_context,
-    verify_genus2_cohomology,
-)
 
 DEFAULT_TRUNC_CAP = 200
 DEFAULT_R_CAP = 1000
 DEFAULT_CHECKS = ("zseries", "invariants")
 
 _DETAIL_DISPLAY_LIMIT = 50
-# per tower branch, the `invariants` entry for `step_failure`: power s plus its increment is s+1
-_STEP_CHECKS = {Branch.GENUS_ONE: "sequence-additivity", Branch.GENUS_TWO: "recursion"}
+# per tower branch value, the `invariants` entry for `step_failure`: s plus its increment is s+1
+_STEP_CHECKS = {"GenusOne": "sequence-additivity", "GenusTwo": "recursion"}
 
 
 @functools.cache
@@ -160,6 +136,8 @@ def _validate(option: str, value: int, low: int, env_name: str, default_cap: int
 def _emit(args, payload: dict, text: Callable[[], list[str]]) -> None:
     """Print the payload as JSON, or the text view, which is built only here."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(text()))
@@ -184,6 +162,9 @@ def _detail_lines(details) -> list[str]:
 
 
 def _cmd_genus(args) -> int:
+    from .cohom import h0_class
+    from .conditions import classify_branch
+
     surface, divisor = _parse_context(args)
     h0 = h0_class(surface, divisor)
     info = {
@@ -211,6 +192,8 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_cohom(args) -> int:
+    from .cohom import KIND_RULES, cohomology_table, h0_class
+
     surface, divisor = _parse_context(args)
     info = {"surface": surface.name, "class": format_divisor(surface, divisor)}
     if KIND_RULES[surface.kind].serre_table:
@@ -225,6 +208,10 @@ def _cmd_cohom(args) -> int:
 
 
 def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str | None):
+    from .cohom import linear_system_dim
+    from .conditions import check_a1, check_a2, check_a3, default_very_ample
+    from .conditions import is_very_ample, refuse_over_cap, refuse_zero_class
+
     refuse_zero_class(divisor)  # before --ample is read
     if ample_text is not None:
         ample = parse_divisor(surface, ample_text)
@@ -252,6 +239,8 @@ def _entry(name: str, failure: str | None, passing: str | None = None) -> dict:
 
 
 def _condition_entry(surface: Surface, rep: ConditionReport) -> dict:
+    from .conditions import describe
+
     return _entry(rep.condition, None if rep.passed else describe(surface, rep.witness))
 
 
@@ -307,11 +296,13 @@ def _check_zseries(series: ThetaSeries, ample_text: str | None):
 
 
 def _check_invariants(series: ThetaSeries, ample_text: str | None):
+    from .theta import step_failure
+
     branch, rank, expected = series.ctx.branch, series.split.bundle.rank, series.split.expected_rank
     yield _entry("rank", None if rank == expected else f"rank {rank} != {expected}")
-    if branch in _STEP_CHECKS:
+    if branch.value in _STEP_CHECKS:
         bad = step_failure(branch, max(2, series.r))
-        yield _entry(_STEP_CHECKS[branch], None if bad is None else f"fails at power {bad}")
+        yield _entry(_STEP_CHECKS[branch.value], None if bad is None else f"fails at power {bad}")
     h0, chi = series.h0.coeffs, series.chi.coeffs
     yield _entry("no-higher-cohomology", next(
         (f"n={n}: chi {c} != h0 {h}" for n, (c, h) in enumerate(zip(chi, h0)) if c != h), None
@@ -322,6 +313,9 @@ def _check_invariants(series: ThetaSeries, ample_text: str | None):
 
 
 def _check_g2cohom(series: ThetaSeries, ample_text: str | None):
+    from .conditions import Branch
+    from .theta import verify_genus2_cohomology
+
     ctx, top = series.ctx, max(2, series.r)
     if ctx.branch is not Branch.GENUS_TWO:
         raise UnsupportedBranchError(
@@ -338,6 +332,8 @@ def _check_g2cohom(series: ThetaSeries, ample_text: str | None):
 
 
 def _check_dualizing(series: ThetaSeries, ample_text: str | None):
+    from .theta import dualizing_twist
+
     twist = dualizing_twist(series.ctx.surface, series.ctx.L)
     passing = f"twist L.K = {twist}; restriction to each support fiber is trivial"
     yield _entry("dualizing-twist", None, passing)
@@ -358,6 +354,8 @@ ALL_CHECKS = tuple(_CHECKS)
 
 def _run_checks(series: ThetaSeries, checks: tuple[str, ...], ample_text: str | None):
     """Run the checks in order; each reads the columns it needs from `series`."""
+    from .conditions import ConditionReport
+
     entries: list[dict] = []
     condition_reports: list[ConditionReport] = []
     for check in checks:
@@ -389,6 +387,8 @@ def _report_payload(series: ThetaSeries, entries) -> dict:
 
 
 def _report_text(series: ThetaSeries, payload: dict, reports) -> list[str]:
+    from .powerseries import format_polynomial
+
     ctx = series.ctx
     lines = _fields(11, ctx.surface, [
         ("class", payload["context"]["class"]),
@@ -420,6 +420,8 @@ def _cmd_report(args) -> int:
     r = _validate("r", args.r, 1, "RATSURF_MAX_R", DEFAULT_R_CAP)
     trunc = _validate("trunc", args.trunc, 0, "RATSURF_MAX_TRUNC", DEFAULT_TRUNC_CAP)
     checks = _parse_checks(args.checks)
+    from .theta import ThetaSeries, theta_context  # past the exit-2 refusals
+
     series = ThetaSeries(theta_context(surface, divisor), r, trunc)
     entries, reports = _run_checks(series, checks, args.ample)
     payload = _report_payload(series, entries)

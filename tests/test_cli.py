@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import ratsurf.cli
-from ratsurf import conditions
+from ratsurf import conditions, theta
 from ratsurf.cli import main
 
 
@@ -299,11 +299,11 @@ def test_exit_code_2_on_r_cap(capsys, monkeypatch):
 
 
 def test_g2cohom_witness_names_the_first_failing_power(capsys, monkeypatch):
-    verify = ratsurf.cli.verify_genus2_cohomology
+    verify = theta.verify_genus2_cohomology
     argv = ["report", "--surface", "f0", "--class", "2G+3F", "--r", "9", "--checks", "g2cohom"]
     for bad in (2, 5, 9):
         monkeypatch.setattr(
-            ratsurf.cli,
+            theta,
             "verify_genus2_cohomology",
             lambda e, r, bad=bad: verify(e, r)._replace(ok=r < bad),
         )
@@ -406,7 +406,7 @@ def test_exit_code_5_on_internal_invariant_failure(capsys, monkeypatch):
     def broken(surface, L):
         raise AssertionError("summands must be merged and sorted\nsecond line")
 
-    monkeypatch.setattr(ratsurf.cli, "classify_branch", broken)
+    monkeypatch.setattr(conditions, "classify_branch", broken)
     code, out, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3H")
     assert code == 5
     assert out == ""
@@ -424,13 +424,40 @@ def test_cli_module_entry_point():
     assert proc.stdout.splitlines()[-1] == "2,55,55"
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every command pays for its process's imports, and the package needs
-    # neither `dataclasses` nor `inspect`, which it pulls in
-    probe = "import ratsurf.cli, sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+# Commands run in one process in order of growing need, each with its exit
+# code and the watched modules loaded once it has run.  Every command pays for
+# its process's imports: a subcommand loads only the modules it uses, and none
+# loads `dataclasses`, nor the `inspect` that `dataclasses` pulls in.
+STARTUP_STEPS = [
+    ("frobnicate", 2, []),
+    ("cohom --surface f1 --class 2G+4F", 0, ["cohom"]),
+    ("genus --surface p2 --class 3H", 0, ["cohom", "conditions"]),
+    ("report --surface p2 --class 3H --r 0", 2, ["cohom", "conditions"]),
+    ("conditions --surface f1 --class 2G+4F --format json", 0, ["cohom", "conditions", "json"]),
+    ("report --surface p2 --class 3H", 0, ["cohom", "conditions", "json", "powerseries", "theta"]),
+]
+STARTUP_PROBE = """
+import contextlib, io, sys
+import ratsurf.cli
+watched = {"cohom", "conditions", "theta", "powerseries", "json", "dataclasses", "inspect"}
+for line in sys.stdin:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = ratsurf.cli.main(line.split())
+    loaded = {name.removeprefix("ratsurf.") for name in sys.modules} & watched
+    print(code, *sorted(loaded))
+"""
+
+
+def test_each_subcommand_loads_only_the_modules_it_uses():
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        input="".join(f"{argv}\n" for argv, _, _ in STARTUP_STEPS),
+        capture_output=True,
+        text=True,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    expected = [" ".join([str(code), *loaded]) for _, code, loaded in STARTUP_STEPS]
+    assert proc.stdout.splitlines() == expected
 
 
 # one parse error, --help, zseries (its checks come from set_defaults), a
