@@ -4,7 +4,6 @@ genus and Euler characteristics on the supported surfaces."""
 from ratsurf import (
     arithmetic_genus,
     blowup_hirzebruch,
-    canonical_class,
     divisor,
     euler_char,
     format_divisor,
@@ -20,7 +19,7 @@ f1b = blowup_hirzebruch(1)
 
 print("== bases and canonical classes ==")
 for surface in (p2, hirzebruch(0), f1, f1b):
-    k = canonical_class(surface)
+    k = surface.canonical
     print(
         f"{surface.name:5s} basis {surface.basis}   "
         f"K = {format_divisor(surface, k)}   K.K = {intersect(surface, k, k)}"

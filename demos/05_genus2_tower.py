@@ -2,12 +2,13 @@
 and the cohomology counts behind it."""
 
 from ratsurf import (
+    Branch,
     divisor,
     dualizing_twist,
     hirzebruch,
-    pushforward_decomposition,
-    recursion_check_g2,
+    step_failure,
     theta_context,
+    theta_splitting,
     verify_genus2_cohomology,
 )
 
@@ -16,14 +17,14 @@ ctx = theta_context(f0, divisor(2, 3))
 
 print("== splitting of the pushforward, power by power ==")
 for r in range(1, 7):
-    gb = pushforward_decomposition(ctx, r)
+    gb = theta_splitting(ctx.branch, r)
     print(f"r={r}: rank {gb.rank:3d} = {r}^2   {gb.describe()}")
     assert gb.rank == r * r
 
 # Each step adds O(-r-1)^(r+2) + O(-r-2)^(r-1); the closed form and the
 # stepwise construction must produce the same multiset of twists.
 print("\n== recursion check ==")
-print("powers 2..50:", all(recursion_check_g2(r) for r in range(2, 51)))
+print("powers 2..50:", step_failure(Branch.GENUS_TWO, 50) is None)
 
 # The counts feeding the splitting: with K = -2G-(e+2)F the adjoint class
 # L+K is the fiber class, so r(L+K) is a pencil-of-fibers power.

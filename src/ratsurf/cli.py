@@ -17,6 +17,10 @@ invariant failed (a bug; one line on stderr).  `--trunc` above its cap
 RATSURF_MAX_TRUNC and RATSURF_MAX_R environment variables override the caps,
 and are read on every call.
 
+Two report checks state facts and cannot fail: `dualizing-twist` always
+passes with the twist L.K, and `nonnegative-coefficients` reads running sums
+of the splitting's multiplicities, which are never negative.
+
 The parser is built once per process and reused by every `main` call, so a
 caller running many commands in one process pays for it once.  A subcommand
 imports the modules it uses when it runs: genus and conditions load cohom and
@@ -37,7 +41,6 @@ from .picard import (
     DivisorClass,
     Surface,
     arithmetic_genus,
-    canonical_class,
     format_divisor,
     intersect,
     moduli_dimension,
@@ -45,8 +48,8 @@ from .picard import (
     surface_from_name,
 )
 
-DEFAULT_TRUNC_CAP = 200
-DEFAULT_R_CAP = 1000
+DEFAULT_TRUNC_CAP = 200  # bounds each series column to trunc+1 entries; not their cost in dim|L|
+DEFAULT_R_CAP = 1000  # bounds the splitting (up to r+2 twists, rank r^2) and the step walk
 DEFAULT_CHECKS = ("zseries", "invariants")
 
 _DETAIL_DISPLAY_LIMIT = 50
@@ -172,7 +175,7 @@ def _cmd_genus(args) -> int:
         "class": format_divisor(surface, divisor),
         "genus": arithmetic_genus(surface, divisor),
         "self_intersection": intersect(surface, divisor, divisor),
-        "canonical_pairing": intersect(surface, divisor, canonical_class(surface)),
+        "canonical_pairing": intersect(surface, divisor, surface.canonical),
         "moduli_dimension": moduli_dimension(surface, divisor),
         "effective": h0 > 0,
         "dim_linear_system": h0 - 1 if h0 > 0 else None,
@@ -298,7 +301,8 @@ def _check_zseries(series: ThetaSeries, ample_text: str | None):
 def _check_invariants(series: ThetaSeries, ample_text: str | None):
     from .theta import step_failure
 
-    branch, rank, expected = series.ctx.branch, series.split.bundle.rank, series.split.expected_rank
+    branch, rank = series.ctx.branch, series.bundle.rank
+    expected = series.entry.expected_rank(series.r)
     yield _entry("rank", None if rank == expected else f"rank {rank} != {expected}")
     if branch.value in _STEP_CHECKS:
         bad = step_failure(branch, max(2, series.r))
@@ -398,7 +402,7 @@ def _report_text(series: ThetaSeries, payload: dict, reports) -> list[str]:
     ])
     lines.append(
         f"Z(t) = ({format_polynomial(series.numerator)}) / (1 - t)^{ctx.l + 1}"
-        f"    [{series.split.provenance}]"
+        f"    [{series.entry.provenance}]"
     )
     lines.append("   n         h0        chi")
     lines += [f"{row['n']:>4}  {row['h0']:>9}  {row['chi']:>9}" for row in payload["series"]]

@@ -35,23 +35,12 @@ from collections import namedtuple
 from typing import Callable, NamedTuple
 
 from .errors import ScopeError
-from .picard import (
-    DivisorClass,
-    Surface,
-    SurfaceKind,
-    canonical_class,
-    euler_char,
-    format_divisor,
-    hirzebruch,
-    projective_plane,
-)
+from .picard import DivisorClass, Surface, SurfaceKind, euler_char, format_divisor
 
 __all__ = [
     "CohomologyTable",
     "KIND_RULES",
     "ProjectiveSpaceCohomology",
-    "cohomology_p2",
-    "cohomology_hirzebruch",
     "cohomology_projective_space",
     "h0_blowup",
     "h0_class",
@@ -81,16 +70,6 @@ class ProjectiveSpaceCohomology(NamedTuple):
 
 def _h0_hirzebruch(e: int, a: int, b: int) -> int:
     return sum(max(0, b - k * e + 1) for k in range(a + 1))
-
-
-def cohomology_p2(d: int) -> CohomologyTable:
-    """Full cohomology table of O(dH) on the plane (h^1 is always zero)."""
-    return cohomology_table(projective_plane(), DivisorClass((d,)))
-
-
-def cohomology_hirzebruch(e: int, a: int, b: int) -> CohomologyTable:
-    """Full cohomology table of O(aG+bF) on F_e."""
-    return cohomology_table(hirzebruch(e), DivisorClass((a, b)))
 
 
 def cohomology_projective_space(l: int, m: int) -> ProjectiveSpaceCohomology:
@@ -208,7 +187,7 @@ def cohomology_table(surface: Surface, d: DivisorClass) -> CohomologyTable:
     if not KIND_RULES[surface.kind].serre_table:
         raise ScopeError("h^1 and h^2 on blowups are outside the verified scope")
     h0 = h0_class(surface, d)
-    h2 = h0_class(surface, canonical_class(surface) - d)
+    h2 = h0_class(surface, surface.canonical - d)
     chi = euler_char(surface, d)
     return CohomologyTable(h0, h0 + h2 - chi, h2, chi)
 

@@ -44,14 +44,7 @@ from typing import NamedTuple
 
 from .cohom import KIND_RULES, h0_class, linear_system_dim
 from .errors import EnumerationCapError, ScopeError, UnsupportedBranchError
-from .picard import (
-    DivisorClass,
-    Surface,
-    arithmetic_genus,
-    canonical_class,
-    format_divisor,
-    intersect,
-)
+from .picard import DivisorClass, Surface, arithmetic_genus, format_divisor, intersect
 
 __all__ = [
     "Branch",
@@ -74,7 +67,7 @@ __all__ = [
 
 #: Hard cap on sum(|coefficients|) of a class fed to the decomposition
 #: enumerator; beyond it the multiset count explodes.
-DECOMPOSITION_CAP = 24
+DECOMPOSITION_CAP = 24  # bounds the box below L and A2's decomposition walk, not its time
 
 
 class Branch(Enum):
@@ -259,7 +252,7 @@ def check_a1(surface: Surface, L: DivisorClass, h: DivisorClass) -> ConditionRep
         raise UnsupportedBranchError("condition A1 is not defined on blowup surfaces here")
     if not is_very_ample(surface, h):
         raise ValueError(f"{format_divisor(surface, h)} is not very ample on {surface.name}")
-    kh = canonical_class(surface) + h
+    kh = surface.canonical + h
     rows: list[Row] = []
     for sub in enumerate_effective_below(surface, L):
         value = intersect(surface, sub, kh)

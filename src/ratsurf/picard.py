@@ -53,7 +53,6 @@ __all__ = [
     "divisor",
     "zero_class",
     "intersect",
-    "canonical_class",
     "arithmetic_genus",
     "euler_char",
     "euler_pairing",
@@ -210,11 +209,6 @@ def intersect(surface: Surface, d1: DivisorClass, d2: DivisorClass) -> int:
     )
 
 
-def canonical_class(surface: Surface) -> DivisorClass:
-    """Canonical divisor class K of the surface."""
-    return surface.canonical
-
-
 def _half(n: int) -> int:
     # the adjunction / Riemann-Roch pairings below are always even
     q, r = divmod(n, 2)
@@ -225,14 +219,12 @@ def _half(n: int) -> int:
 
 def arithmetic_genus(surface: Surface, L: DivisorClass) -> int:
     """Adjunction genus of curves in |L|: g = 1 + L.(L+K)/2."""
-    k = canonical_class(surface)
-    return 1 + _half(intersect(surface, L, L + k))
+    return 1 + _half(intersect(surface, L, L + surface.canonical))
 
 
 def euler_char(surface: Surface, d: DivisorClass) -> int:
     """Riemann-Roch Euler characteristic chi(O(D)) = 1 + D.(D-K)/2."""
-    k = canonical_class(surface)
-    return 1 + _half(intersect(surface, d, d - k))
+    return 1 + _half(intersect(surface, d, d - surface.canonical))
 
 
 def euler_pairing(surface: Surface, u: SheafClass, c: SheafClass) -> int:

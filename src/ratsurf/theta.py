@@ -22,29 +22,32 @@ power adds (genus 1 adds O(-i), genus 2 adds O(-i)^(i+1) + O(-i-1)^(i-2));
 the increment power r+1 adds to power r, the twist along the theta divisor,
 written apart from the blocks; the expected rank r^g; and the provenance a
 report prints.  The summands at power r are the head plus the blocks up to r.
-At r = 1 the pushforward is O on every class of a verified family.  The
-numerator, the rank and step checks and the CLI read the table; the paper's
-closed-form numerators are a test oracle for it.  For the other
-positive-genus classes of those families with r >= 2 the pushforward is only
-known to be torsion-free (locally free over the integral locus), so the
+At r = 1 the pushforward is O on every class of a verified family: that rule
+is one more row, `_RANK_ONE`.  `theta_splitting(branch, r)` is the one entry
+point to a power's splitting, a `GradedBundle`; its numerator is
+`.numerator()`.  The numerator, the rank and step checks and the CLI read the
+table; the paper's closed-form numerators are a test oracle for it.  For the
+other positive-genus classes of those families with r >= 2 the pushforward is
+only known to be torsion-free (locally free over the integral locus), so the
 library refuses rather than extrapolates; a class outside every verified
 family is refused at every power, r = 1 included.
 
-`ThetaSeries` holds the splitting, the numerator and three columns for
-n = 0..trunc: `h0` expands the numerator by exact running sums; `summed`
-reads h^0(P^l, O(j)) once per degree j <= trunc and m up to index trunc
-(twists below -trunc have no sections there), and takes coefficient n as one
-C-level `sum(map(mul, ...))` pairing the twists 0, -1, .. with the degrees
-n, n-1, ..; `chi`, a polynomial of degree l in n, is summed over m reversed
-at n = 0..l from one binomial per argument and extended past l through its
-vanishing (l+1)-th difference, one `sum(map(mul, ...))` of the l+1 previous
-values per n.  The two h0 routes stay independent (the numerator and
-`powerseries` against the summands and `cohom`), so a slip in either shows
-as a mismatch.  Because power s+1 is power s plus one block, `step_failure`
-checks every tabulated branch (the genus-1 sequence additivity and the
-genus-2 recursion alike) by comparing the increment of each power s with the
-block of s+1: linear work up to r, and a slip in the increments or in the
-blocks shows at the first power it touches.
+`ThetaSeries(ctx, r, trunc)` is the one entry point to a power's series.  It
+holds the table row (`entry`: expected rank and provenance), the splitting
+(`bundle`), the numerator and three columns for n = 0..trunc: `h0` expands
+the numerator by exact running sums; `summed` reads h^0(P^l, O(j)) once per
+degree j <= trunc and m up to index trunc (twists below -trunc have no
+sections there), and takes coefficient n as one C-level `sum(map(mul, ...))`
+pairing the twists 0, -1, .. with the degrees n, n-1, ..; `chi`, a polynomial
+of degree l in n, is summed over m reversed at n = 0..l from one binomial per
+argument and extended past l through its vanishing (l+1)-th difference, one
+`sum(map(mul, ...))` of the l+1 previous values per n.  The two h0 routes stay
+independent (the numerator and `powerseries` against the summands and
+`cohom`), so a slip in either shows as a mismatch.  Because power s+1 is power
+s plus one block, `step_failure` checks every tabulated branch (the genus-1
+sequence additivity and the genus-2 recursion alike) by comparing the
+increment of each power s with the block of s+1: linear work up to r, and a
+slip in the increments or in the blocks shows at the first power it touches.
 """
 
 from __future__ import annotations
@@ -55,17 +58,10 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
-from .cohom import cohomology_hirzebruch, cohomology_projective_space, linear_system_dim
+from .cohom import cohomology_projective_space, cohomology_table, linear_system_dim
 from .conditions import Branch, classify_branch
 from .errors import ScopeError, UnsupportedBranchError
-from .picard import (
-    DivisorClass,
-    Surface,
-    arithmetic_genus,
-    canonical_class,
-    hirzebruch,
-    intersect,
-)
+from .picard import DivisorClass, Surface, arithmetic_genus, hirzebruch, intersect
 from .powerseries import (
     Polynomial,
     SeriesCoefficients,
@@ -78,19 +74,14 @@ from .powerseries import (
 __all__ = [
     "GradedBundle",
     "ThetaContext",
-    "ThetaSplitting",
     "ThetaSeries",
     "Genus2CohomologyCheck",
     "theta_context",
     "theta_splitting",
-    "pushforward_decomposition",
-    "series_numerator",
-    "z_series",
     "z_from_decomposition",
     "h0_lambda",
     "euler_char_lambda",
     "higher_cohomology_vanishes",
-    "recursion_check_g2",
     "step_failure",
     "dualizing_twist",
     "verify_genus2_cohomology",
@@ -219,29 +210,28 @@ _SPLITTINGS = {
 }
 
 
-class ThetaSplitting(NamedTuple):
-    """A branch's splitting at one power r, the rank the table expects of it
-    and its provenance.  The step to power r+1 is read off the table itself
-    by `step_failure`."""
+#: The r = 1 rule: the pushforward is O on every class of a verified family,
+#: the positive-genus family beyond `_SPLITTINGS` included.
+_RANK_ONE = _Entry(
+    1,
+    ((0, 1),),
+    lambda i: [],
+    lambda r: [],
+    lambda r: 1,
+    "rank-one pushforward: structure sheaf of the linear system",
+)
 
-    bundle: GradedBundle
-    expected_rank: int
-    provenance: str
 
+def _entry(branch: Branch, r: int) -> _Entry:
+    """The table row giving the splitting of pi_* theta^r on a branch.
 
-def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
-    """Look up the splitting of pi_* theta^r on a branch.
-
-    At r = 1 the pushforward is O on every class of a verified family, the
-    positive-genus family beyond the table included; at r >= 2 that family is
-    refused, and a class outside every verified family is refused at every r.
+    At r >= 2 the positive-genus family beyond the table is refused, and a
+    class outside every verified family is refused at every r.
     """
     if r < 1:
         raise ValueError(f"theta power must be >= 1, got {r}")
     if r == 1 and branch not in (Branch.GENUS_NONPOSITIVE, Branch.UNSUPPORTED):
-        return ThetaSplitting(
-            GradedBundle(((0, 1),)), 1, "rank-one pushforward: structure sheaf of the linear system"
-        )
+        return _RANK_ONE
     entry = _SPLITTINGS.get(branch)
     if entry is None:
         reason = (
@@ -254,19 +244,12 @@ def theta_splitting(branch: Branch, r: int) -> ThetaSplitting:
             f"no closed-form numerator for branch {branch.value} at power {r}: {reason}; "
             "no splitting into line-bundle twists is available"
         )
-    return ThetaSplitting(
-        GradedBundle.from_summands(entry.summands(r)), entry.expected_rank(r), entry.provenance
-    )
+    return entry
 
 
-def pushforward_decomposition(ctx: ThetaContext, r: int) -> GradedBundle:
-    """Splitting of the pushforward of theta^r into twists on P^l."""
-    return theta_splitting(ctx.branch, r).bundle
-
-
-def series_numerator(branch: Branch, r: int) -> Polynomial:
-    """Numerator of Z^r(t) over (1-t)^(l+1), read off the splitting."""
-    return theta_splitting(branch, r).bundle.numerator()
+def theta_splitting(branch: Branch, r: int) -> GradedBundle:
+    """The splitting of pi_* theta^r on a branch into twists on P^l."""
+    return GradedBundle.from_summands(_entry(branch, r).summands(r))
 
 
 class ThetaSeries:
@@ -277,12 +260,17 @@ class ThetaSeries:
         self.ctx, self.r, self.trunc = ctx, r, trunc
 
     @cached_property
-    def split(self) -> ThetaSplitting:
+    def entry(self) -> _Entry:
+        """The table row: expected rank and provenance."""
+        return _entry(self.ctx.branch, self.r)
+
+    @cached_property
+    def bundle(self) -> GradedBundle:
         return theta_splitting(self.ctx.branch, self.r)
 
     @cached_property
     def numerator(self) -> Polynomial:
-        return self.split.bundle.numerator()
+        return self.bundle.numerator()
 
     @cached_property
     def h0(self) -> SeriesCoefficients:
@@ -292,12 +280,12 @@ class ThetaSeries:
     @cached_property
     def summed(self) -> SeriesCoefficients:
         """h^0 by the summand route."""
-        return z_from_decomposition(self.split.bundle, self.ctx.l, self.trunc)
+        return z_from_decomposition(self.bundle, self.ctx.l, self.trunc)
 
     @cached_property
     def chi(self) -> SeriesCoefficients:
         """chi from the splitting at n <= l, then by the vanishing (l+1)-th difference."""
-        l, trunc, m = self.ctx.l, self.trunc, self.split.bundle.m
+        l, trunc, m = self.ctx.l, self.trunc, self.bundle.m
         seed = range(min(trunc, l) + 1)
         # m from the lowest twist t = 1 - len(m) up, and one binomial per
         # argument n + t + l the seed meets
@@ -310,11 +298,6 @@ class ThetaSeries:
             for n in range(l + 1, trunc + 1):
                 chi.append(sum(map(mul, weights, chi[n - l - 1 : n])))
         return SeriesCoefficients(trunc, tuple(chi))
-
-
-def z_series(ctx: ThetaContext, r: int, trunc: int) -> SeriesCoefficients:
-    """Section-count series of theta^r twists, from the numerator."""
-    return ThetaSeries(ctx, r, trunc).h0
 
 
 def z_from_decomposition(gb: GradedBundle, l: int, trunc: int) -> SeriesCoefficients:
@@ -342,7 +325,7 @@ def h0_lambda(ctx: ThetaContext, r: int, n: int) -> int:
     """Sections of the n-th determinant-bundle twist of theta^r; zero for n < 0."""
     if n < 0:
         return 0
-    return gf_coefficient(series_numerator(ctx.branch, r), ctx.l, n)
+    return gf_coefficient(theta_splitting(ctx.branch, r).numerator(), ctx.l, n)
 
 
 def euler_char_lambda(ctx: ThetaContext, r: int, n: int) -> int:
@@ -351,7 +334,7 @@ def euler_char_lambda(ctx: ThetaContext, r: int, n: int) -> int:
     Agrees with h0_lambda whenever no summand reaches twist n+t <= -l-1 (no
     higher cohomology).
     """
-    return pushforward_decomposition(ctx, r).euler_char(ctx.l, n)
+    return theta_splitting(ctx.branch, r).euler_char(ctx.l, n)
 
 
 def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
@@ -378,11 +361,6 @@ def step_failure(branch: Branch, top: int, start: int | None = None) -> int | No
     return next((s for s in steps if entry.increment(s) != entry.block(s + 1)), None)
 
 
-def recursion_check_g2(r: int) -> bool:
-    """One step of the genus-2 recursion: power r plus its increment is power r+1."""
-    return step_failure(Branch.GENUS_TWO, r, start=r) is None
-
-
 def dualizing_twist(surface: Surface, L: DivisorClass) -> int:
     """Exponent L.K of the tautological twist giving the dualizing sheaf on M.
 
@@ -390,7 +368,7 @@ def dualizing_twist(surface: Surface, L: DivisorClass) -> int:
     for any exponent, so the dualizing sheaf of each fiber (a compactified
     Jacobian for integral support) is trivial regardless of the value.
     """
-    return intersect(surface, L, canonical_class(surface))
+    return intersect(surface, L, surface.canonical)
 
 
 class Genus2CohomologyCheck(NamedTuple):
@@ -413,11 +391,11 @@ def verify_genus2_cohomology(e: int, r: int) -> Genus2CohomologyCheck:
         raise ValueError(f"the counts are stated for r >= 2, got {r}")
     surface = hirzebruch(e)
     L = DivisorClass((2, e + 3))
-    adjoint = L + canonical_class(surface)  # equals the fiber class
+    adjoint = L + surface.canonical  # equals the fiber class
     positive = r * adjoint
     negative = positive - L
-    table_pos = cohomology_hirzebruch(e, *positive.coeffs)
-    table_neg = cohomology_hirzebruch(e, *negative.coeffs)
+    table_pos = cohomology_table(surface, positive)
+    table_neg = cohomology_table(surface, negative)
     ok = (
         table_pos.h0 == r + 1
         and table_neg.h1 == r - 2

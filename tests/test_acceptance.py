@@ -13,7 +13,6 @@ import time
 from ratsurf import (
     Branch,
     arithmetic_genus,
-    canonical_class,
     check_a1,
     check_a2,
     check_a3,
@@ -29,12 +28,12 @@ from ratsurf import (
     linear_system_dim,
     moduli_dimension,
     projective_plane,
-    pushforward_decomposition,
-    recursion_check_g2,
+    step_failure,
     theta_context,
+    theta_splitting,
+    ThetaSeries,
     verify_genus2_cohomology,
     z_from_decomposition,
-    z_series,
 )
 
 P2 = projective_plane()
@@ -68,7 +67,7 @@ def test_criterion_01_genus_nonpositive_series():
         ctx = theta_context(surface, L)
         ok &= ctx.branch == Branch.GENUS_NONPOSITIVE
         for r in (1, 2, 5):
-            series = z_series(ctx, r, 20)
+            series = ThetaSeries(ctx, r, 20).h0
             ok &= list(series.coeffs) == [math.comb(n + ctx.l, ctx.l) for n in range(21)]
     report(1, "genus <= 0 series is 1/(1-t)^(l+1)", ok)
     assert ok
@@ -102,12 +101,12 @@ def test_criterion_03_genus_one_tower():
             )
             for n in range(26)
         ]
-        gb = pushforward_decomposition(ctx, r)
+        gb = theta_splitting(ctx.branch, r)
         ok &= list(z_from_decomposition(gb, ctx.l, 25).coeffs) == expected
-        ok &= list(z_series(ctx, r, 25).coeffs) == expected
+        ok &= list(ThetaSeries(ctx, r, 25).h0.coeffs) == expected
         ok &= gb.rank == r
         stepped = gb.union([(-(r + 1), 1)])
-        ok &= stepped == pushforward_decomposition(ctx, r + 1)
+        ok &= stepped == theta_splitting(ctx.branch, r + 1)
     report(3, "genus-1 tower: decomposition, closed form, rank, additivity", ok)
     assert ok
 
@@ -118,10 +117,10 @@ def test_criterion_04_genus_two_tower():
         ctx = theta_context(surface, L)
         ok &= ctx.branch == Branch.GENUS_TWO and ctx.l == 11
         for r in range(1, 21):
-            gb = pushforward_decomposition(ctx, r)
-            ok &= z_series(ctx, r, 40) == z_from_decomposition(gb, ctx.l, 40)
+            gb = theta_splitting(ctx.branch, r)
+            ok &= ThetaSeries(ctx, r, 40).h0 == z_from_decomposition(gb, ctx.l, 40)
             ok &= gb.rank == r * r
-    ok &= all(recursion_check_g2(r) for r in range(2, 51))
+    ok &= all(step_failure(Branch.GENUS_TWO, r, start=r) is None for r in range(2, 51))
     report(4, "genus-2 tower: decomposition, closed form, rank, recursion", ok)
     assert ok
 
@@ -198,7 +197,7 @@ def test_criterion_09_property_suites():
     rng = random.Random(20260810)
     for surface in (P2, F0, F1, hirzebruch(2)):
         width = len(surface.basis)
-        k = canonical_class(surface)
+        k = surface.canonical
         for _ in range(10_000):
             d = DivisorClass(tuple(rng.randint(-12, 12) for _ in range(width)))
             table = cohomology_table(surface, d)  # validates h1 >= 0 internally

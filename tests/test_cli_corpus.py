@@ -6,6 +6,7 @@ bench/ is only read: its modules are imported without writing bytecode.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -84,14 +85,24 @@ def test_theta_tower_matches_oracle():
     assert not failures
 
 
+#: sha256 of each demo's stdout, by its number: a change to what a demo prints
+#: is a deliberate act
+DEMO_STDOUT_SHA256 = {
+    "01": "5bc269a10ad04819aa49f1fd3badc3cd4c8196e1943a5b249e8412932e3e4018",
+    "02": "8da9e2426a968e436e6b376f63bb21a7997549968c4e69383d1637d76d2051b7",
+    "03": "05e6b796b27aaa3c60f8d525b8e4bb2068adc7142889a451a86e2e3e45a7244b",
+    "04": "fab5ff8456e4e53a2ee73846591478eee8333172a0704eed71639ed0fc0492c4",
+    "05": "4a239ac7eb69af070309a78c5f6507f3804bcc74339aa62223701feb324abcae",
+}
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name[:2]]
 
 
 # Zero, rigid, non-effective, blowup, tower and over-cap classes per surface.

@@ -13,9 +13,6 @@ from ratsurf import (
     CohomologyTable,
     ScopeError,
     blowup_hirzebruch,
-    canonical_class,
-    cohomology_hirzebruch,
-    cohomology_p2,
     cohomology_projective_space,
     cohomology_table,
     divisor,
@@ -45,19 +42,20 @@ def count_monomials(n_vars: int, degree: int) -> int:
 
 def test_plane_h0_matches_monomial_count():
     for d in range(-3, 7):
-        assert cohomology_p2(d).h0 == count_monomials(3, d)
+        assert cohomology_table(P2, divisor(d)).h0 == count_monomials(3, d)
 
 
 def test_plane_examples():
-    assert cohomology_p2(3).h0 == 10
-    assert (cohomology_p2(-1).h0, cohomology_p2(-1).h1, cohomology_p2(-1).h2) == (0, 0, 0)
-    table = cohomology_p2(-3)
+    assert cohomology_table(P2, divisor(3)).h0 == 10
+    minus_one = cohomology_table(P2, divisor(-1))
+    assert (minus_one.h0, minus_one.h1, minus_one.h2) == (0, 0, 0)
+    table = cohomology_table(P2, divisor(-3))
     assert (table.h0, table.h1, table.h2) == (0, 0, 1)
 
 
 def test_plane_h1_vanishes_everywhere():
     for d in range(-15, 16):
-        assert cohomology_p2(d).h1 == 0
+        assert cohomology_table(P2, divisor(d)).h1 == 0
 
 
 # ----------------------------------------------------------------- hirzebruch
@@ -68,33 +66,33 @@ def test_hirzebruch_h0_bidegree_oracle():
     for a in range(-2, 5):
         for b in range(-2, 5):
             expected = (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
-            assert cohomology_hirzebruch(0, a, b).h0 == expected
+            assert cohomology_table(hirzebruch(0), divisor(a, b)).h0 == expected
 
 
 def test_hirzebruch_anchors():
-    assert cohomology_hirzebruch(1, 1, 0).h0 == 1  # the rigid section
+    assert cohomology_table(hirzebruch(1), divisor(1, 0)).h0 == 1  # the rigid section
     for e in range(4):
         for n in range(6):
-            assert cohomology_hirzebruch(e, 0, n).h0 == n + 1  # dim |nF| = n
-    assert cohomology_hirzebruch(0, 2, 3).h0 == 12
-    assert cohomology_hirzebruch(0, 2, 3).h1 == 0
-    assert cohomology_hirzebruch(0, 2, 3).h2 == 0
+            assert cohomology_table(hirzebruch(e), divisor(0, n)).h0 == n + 1  # dim |nF| = n
+    assert cohomology_table(hirzebruch(0), divisor(2, 3)).h0 == 12
+    assert cohomology_table(hirzebruch(0), divisor(2, 3)).h1 == 0
+    assert cohomology_table(hirzebruch(0), divisor(2, 3)).h2 == 0
 
 
 def test_hirzebruch_rigid_section_multiples():
     # a copies of the negative section stay rigid once e >= 1
     for e in (1, 2, 3):
         for a in range(1, 4):
-            assert cohomology_hirzebruch(e, a, 0).h0 == 1
+            assert cohomology_table(hirzebruch(e), divisor(a, 0)).h0 == 1
 
 
 @settings(max_examples=300, derandomize=True)
 @given(st.integers(0, 3), st.integers(-10, 10), st.integers(-10, 10))
 def test_hirzebruch_chi_and_serre(e, a, b):
     surface = hirzebruch(e)
-    k = canonical_class(surface)
-    table = cohomology_hirzebruch(e, a, b)
-    dual = cohomology_hirzebruch(e, k.coeffs[0] - a, k.coeffs[1] - b)
+    k = surface.canonical
+    table = cohomology_table(hirzebruch(e), divisor(a, b))
+    dual = cohomology_table(hirzebruch(e), divisor(k.coeffs[0] - a, k.coeffs[1] - b))
     assert table.h0 - table.h1 + table.h2 == euler_char(surface, divisor(a, b))
     assert table.h2 == dual.h0
     assert table.h1 == dual.h1
@@ -108,15 +106,11 @@ def test_cohomology_table_is_the_serre_duality_rule():
         grid = [divisor(a, b) for a in range(-7, 8) for b in range(-9, 10)]
         grids.append((hirzebruch(e), grid))
     for surface, grid in grids:
-        k = canonical_class(surface)
+        k = surface.canonical
         for d in grid:
             h0, h2, chi = h0_class(surface, d), h0_class(surface, k - d), euler_char(surface, d)
             table = cohomology_table(surface, d)
             assert table == CohomologyTable(h0, h0 + h2 - chi, h2, chi)
-            if surface == P2:
-                assert cohomology_p2(*d.coeffs) == table
-            else:
-                assert cohomology_hirzebruch(surface.e, *d.coeffs) == table
     for e in range(4):
         with pytest.raises(ScopeError):
             cohomology_table(blowup_hirzebruch(e), divisor(1, 1, 0))
@@ -125,15 +119,18 @@ def test_cohomology_table_is_the_serre_duality_rule():
 @settings(max_examples=200, derandomize=True)
 @given(st.integers(0, 3), st.integers(-8, 8), st.integers(-8, 8))
 def test_h0_monotone_in_fiber_direction(e, a, b):
-    assert cohomology_hirzebruch(e, a, b).h0 <= cohomology_hirzebruch(e, a, b + 1).h0
+    surface = hirzebruch(e)
+    assert cohomology_table(surface, divisor(a, b)).h0 <= cohomology_table(
+        surface, divisor(a, b + 1)
+    ).h0
 
 
 def test_plane_chi_consistency_and_monotonicity():
     for d in range(-10, 11):
-        table = cohomology_p2(d)
+        table = cohomology_table(P2, divisor(d))
         assert table.h0 - table.h1 + table.h2 == euler_char(P2, divisor(d))
-        assert table.h2 == cohomology_p2(-d - 3).h0
-        assert table.h0 <= cohomology_p2(d + 1).h0
+        assert table.h2 == cohomology_table(P2, divisor(-d - 3)).h0
+        assert table.h0 <= cohomology_table(P2, divisor(d + 1)).h0
 
 
 # ----------------------------------------------------------- projective space

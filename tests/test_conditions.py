@@ -17,7 +17,6 @@ from ratsurf import (
     check_a1,
     check_a2,
     check_a3,
-    canonical_class,
     classify_branch,
     cohomology_table,
     conditions,
@@ -165,7 +164,7 @@ def test_every_kind_rule_matches_its_oracle():
     for surface, L, amples in cases:
         assert default_very_ample(surface) == amples[0]
         for h in amples:
-            kh = canonical_class(surface) + h
+            kh = surface.canonical + h
             expected = []
             for sub in enumerate_effective_below(surface, L):
                 value = intersect(surface, sub, kh)

@@ -18,6 +18,31 @@ def test_all_is_the_sorted_union_of_the_modules_public_names():
             assert getattr(ratsurf, name) is getattr(module, name), name
 
 
+PUBLIC_NAMES = [
+    "Branch", "ClassParseError", "CohomologyTable", "ConditionReport", "DECOMPOSITION_CAP",
+    "Decomposition", "DivisorClass", "EnumerationCapError", "Genus2CohomologyCheck",
+    "GradedBundle", "KIND_RULES", "Polynomial", "ProjectiveSpaceCohomology", "RatsurfError",
+    "ScopeError", "SeriesCoefficients", "SheafClass", "Surface", "SurfaceKind", "ThetaContext",
+    "ThetaSeries", "UnsupportedBranchError", "arithmetic_genus", "binom_polynomial", "binomial",
+    "blowup_hirzebruch", "check_a1", "check_a2", "check_a3", "classify_branch",
+    "cohomology_projective_space", "cohomology_table", "default_very_ample", "describe",
+    "divisor", "dualizing_twist", "enumerate_decompositions", "enumerate_effective_below",
+    "euler_char", "euler_char_lambda", "euler_pairing", "expand_rational_gf", "format_divisor",
+    "format_polynomial", "gf_coefficient", "h0_blowup", "h0_class", "h0_lambda",
+    "higher_cohomology_vanishes", "hirzebruch", "intersect", "is_effective", "is_very_ample",
+    "linear_system_dim", "moduli_dimension", "parse_divisor", "polynomial", "projective_plane",
+    "refuse_over_cap", "refuse_zero_class", "step_failure", "surface_from_name",
+    "theta_context", "theta_splitting", "verify_genus2_cohomology", "z_from_decomposition",
+    "zero_class",
+]
+
+
+def test_public_surface_is_pinned():
+    # a name added to or removed from the surface shows up in this list's diff
+    assert len(PUBLIC_NAMES) == 67
+    assert ratsurf.__all__ == PUBLIC_NAMES
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from ratsurf import *", namespace)

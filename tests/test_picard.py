@@ -10,7 +10,6 @@ from ratsurf import (
     SheafClass,
     arithmetic_genus,
     blowup_hirzebruch,
-    canonical_class,
     divisor,
     euler_char,
     euler_pairing,
@@ -93,10 +92,10 @@ def test_intersect_symmetric_and_bilinear(name, c1, c2, c3, s, t):
 
 
 def test_canonical_class_values():
-    assert canonical_class(P2) == divisor(-3)
-    assert canonical_class(F0) == divisor(-2, -2)
-    assert canonical_class(F1) == divisor(-2, -3)
-    assert canonical_class(blowup_hirzebruch(1)) == divisor(-2, -3, 1)
+    assert P2.canonical == divisor(-3)
+    assert F0.canonical == divisor(-2, -2)
+    assert F1.canonical == divisor(-2, -3)
+    assert blowup_hirzebruch(1).canonical == divisor(-2, -3, 1)
 
 
 def test_canonical_class_oracle_hirzebruch():
@@ -112,7 +111,7 @@ def test_canonical_class_oracle_hirzebruch():
             if intersect(surface, f, f + divisor(x, y)) == -2
             and intersect(surface, g, g + divisor(x, y)) == -2
         ]
-        assert solutions == [canonical_class(surface)]
+        assert solutions == [surface.canonical]
 
 
 def test_canonical_class_oracle_blowup():
@@ -127,17 +126,17 @@ def test_canonical_class_oracle_blowup():
             for z in range(-3, 4)
             if all(intersect(surface, c, c + divisor(x, y, z)) == -2 for c in curves)
         ]
-        assert solutions == [canonical_class(surface)]
+        assert solutions == [surface.canonical]
 
 
 def test_canonical_self_intersection():
     # K.K = 9 on the plane, 8 on any F_e, 7 on a one-point blowup
-    assert intersect(P2, canonical_class(P2), canonical_class(P2)) == 9
+    assert intersect(P2, P2.canonical, P2.canonical) == 9
     for e in range(4):
         s = hirzebruch(e)
-        assert intersect(s, canonical_class(s), canonical_class(s)) == 8
+        assert intersect(s, s.canonical, s.canonical) == 8
         b = blowup_hirzebruch(e)
-        assert intersect(b, canonical_class(b), canonical_class(b)) == 7
+        assert intersect(b, b.canonical, b.canonical) == 7
 
 
 # ----------------------------------------------------------------------- genus
@@ -193,7 +192,7 @@ def test_euler_char_plane_oracle():
 def test_riemann_roch_identities(name, coeffs):
     surface = surface_from_name(name)
     d = DivisorClass(tuple(coeffs[: len(surface.basis)]))
-    k = canonical_class(surface)
+    k = surface.canonical
     # Serre symmetry of the Euler characteristic
     assert euler_char(surface, d) == euler_char(surface, k - d)
     # the moduli dimension identity is an algebraic identity of the
@@ -292,7 +291,7 @@ def test_surface_data_of_every_kind():
         assert surface.name == name
         assert surface.description == description
         assert repr(surface) == f"Surface({name})"
-        assert canonical_class(surface) == k
+        assert surface.canonical == k
         surfaces.append(surface)
     # equal exactly when the same name resolves to them, also past the cache
     for s1 in surfaces:

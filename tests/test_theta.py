@@ -5,6 +5,7 @@ import functools
 import io
 import math
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,15 +29,11 @@ from ratsurf import (
     hirzebruch,
     polynomial,
     projective_plane,
-    pushforward_decomposition,
-    recursion_check_g2,
-    series_numerator,
     step_failure,
     theta_context,
     theta_splitting,
     verify_genus2_cohomology,
     z_from_decomposition,
-    z_series,
 )
 from ratsurf.cli import main
 
@@ -90,36 +87,36 @@ def test_context_fields():
 
 
 def test_decomposition_examples():
-    assert pushforward_decomposition(CTX_CUBIC, 3).summands == ((0, 1), (-2, 1), (-3, 1))
-    assert pushforward_decomposition(CTX_G2_F0, 3).summands == (
+    assert theta_splitting(CTX_CUBIC.branch, 3).summands == ((0, 1), (-2, 1), (-3, 1))
+    assert theta_splitting(CTX_G2_F0.branch, 3).summands == (
         (0, 1),
         (-2, 3),
         (-3, 4),
         (-4, 1),
     )
     for ctx in (CTX_CONIC, CTX_CUBIC, CTX_QUARTIC, CTX_G2_F0):
-        assert pushforward_decomposition(ctx, 1).summands == ((0, 1),)
+        assert theta_splitting(ctx.branch, 1).summands == ((0, 1),)
 
 
 def test_decomposition_merges_twists():
     # at genus 2 consecutive blocks share a twist: power 4 has O(-4)^(1+5)
-    gb = pushforward_decomposition(CTX_G2_F1, 4)
+    gb = theta_splitting(CTX_G2_F1.branch, 4)
     assert gb.summands == ((0, 1), (-2, 3), (-3, 4), (-4, 6), (-5, 2))
 
 
 def test_rank_is_power_of_genus():
     for r in range(1, 51):
-        assert pushforward_decomposition(CTX_CUBIC, r).rank == r
-        assert pushforward_decomposition(CTX_G2_F0, r).rank == r * r
-        assert pushforward_decomposition(CTX_CONIC, r).rank == 1
-    assert pushforward_decomposition(CTX_CUBIC, 5).rank == 5
-    assert pushforward_decomposition(CTX_G2_F0, 3).rank == 9
+        assert theta_splitting(CTX_CUBIC.branch, r).rank == r
+        assert theta_splitting(CTX_G2_F0.branch, r).rank == r * r
+        assert theta_splitting(CTX_CONIC.branch, r).rank == 1
+    assert theta_splitting(CTX_CUBIC.branch, 5).rank == 5
+    assert theta_splitting(CTX_G2_F0.branch, 3).rank == 9
     # the expected rank the table states is r^g
     for branch, genus in SPLIT_BRANCHES.items():
         for r in range(1, 51):
-            assert theta_splitting(branch, r).expected_rank == r**genus
+            assert ratsurf.theta._entry(branch, r).expected_rank(r) == r**genus
     for branch in FIRST_POWER_ONLY:
-        assert theta_splitting(branch, 1).expected_rank == 1
+        assert ratsurf.theta._entry(branch, 1).expected_rank(1) == 1
     for r in (1, 2):
         with pytest.raises(UnsupportedBranchError, match=f"at power {r}: "):
             theta_splitting(REFUSED, r)
@@ -127,21 +124,21 @@ def test_rank_is_power_of_genus():
 
 def test_unsupported_powers_raise():
     with pytest.raises(UnsupportedBranchError, match="torsion-free"):
-        pushforward_decomposition(CTX_QUARTIC, 2)
+        theta_splitting(CTX_QUARTIC.branch, 2)
     with pytest.raises(UnsupportedBranchError):
-        z_series(CTX_QUARTIC, 3, 5)
+        ThetaSeries(CTX_QUARTIC, 3, 5).h0
     # an effective class outside every verified family
     ctx = theta_context(hirzebruch(2), divisor(2, 7))
     assert ctx.branch == Branch.UNSUPPORTED
     for r in (1, 2):
         with pytest.raises(UnsupportedBranchError, match="no splitting into line-bundle"):
-            pushforward_decomposition(ctx, r)
+            theta_splitting(ctx.branch, r)
     # the refusal at power 1 does not speak of powers r >= 2
     with pytest.raises(UnsupportedBranchError) as refusal:
-        z_series(ctx, 1, 5)
+        ThetaSeries(ctx, 1, 5).h0
     assert "at power 1: " in str(refusal.value) and "r >= 2" not in str(refusal.value)
     # the positive-genus family keeps its first power
-    assert pushforward_decomposition(CTX_QUARTIC, 1).summands == ((0, 1),)
+    assert theta_splitting(CTX_QUARTIC.branch, 1).summands == ((0, 1),)
 
 
 def test_graded_bundle_validation():
@@ -221,33 +218,33 @@ def test_empty_bundle_views():
 
 def test_series_examples():
     for r in (1, 2, 5, 9):
-        assert z_series(CTX_CONIC, r, 2).coeffs == (1, 6, 21)
-    assert z_series(CTX_CUBIC, 2, 2).coeffs == (1, 10, 56)
-    assert z_series(CTX_G2_F0, 2, 2).coeffs == (1, 12, 81)
+        assert ThetaSeries(CTX_CONIC, r, 2).h0.coeffs == (1, 6, 21)
+    assert ThetaSeries(CTX_CUBIC, 2, 2).h0.coeffs == (1, 10, 56)
+    assert ThetaSeries(CTX_G2_F0, 2, 2).h0.coeffs == (1, 12, 81)
 
 
 def test_series_numerators():
-    assert series_numerator(Branch.GENUS_ONE, 4).coeffs == (1, 0, 1, 1, 1)
-    assert series_numerator(Branch.GENUS_TWO, 2).coeffs == (1, 0, 3)
-    assert series_numerator(Branch.GENUS_TWO, 3).coeffs == (1, 0, 3, 4, 1)
-    assert series_numerator(Branch.GENUS_NONPOSITIVE, 7).coeffs == (1,)
-    assert series_numerator(Branch.POSITIVE_GENUS_GENERAL, 1).coeffs == (1,)
-    assert series_numerator(CTX_G2_F1.branch, 3).coeffs == (1, 0, 3, 4, 1)
+    assert theta_splitting(Branch.GENUS_ONE, 4).numerator().coeffs == (1, 0, 1, 1, 1)
+    assert theta_splitting(Branch.GENUS_TWO, 2).numerator().coeffs == (1, 0, 3)
+    assert theta_splitting(Branch.GENUS_TWO, 3).numerator().coeffs == (1, 0, 3, 4, 1)
+    assert theta_splitting(Branch.GENUS_NONPOSITIVE, 7).numerator().coeffs == (1,)
+    assert theta_splitting(Branch.POSITIVE_GENUS_GENERAL, 1).numerator().coeffs == (1,)
+    assert theta_splitting(CTX_G2_F1.branch, 3).numerator().coeffs == (1, 0, 3, 4, 1)
     assert CTX_G2_F1.l + 1 == 12
 
 
 def test_numerator_read_off_the_splitting_matches_the_paper():
     for branch in SPLIT_BRANCHES:
         for r in range(1, 61):
-            assert series_numerator(branch, r) == paper_numerator(branch, r), (branch, r)
+            assert theta_splitting(branch, r).numerator() == paper_numerator(branch, r), (branch, r)
     for branch in FIRST_POWER_ONLY:
-        assert series_numerator(branch, 1) == paper_numerator(branch, 1)
+        assert theta_splitting(branch, 1).numerator() == paper_numerator(branch, 1)
         with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*torsion-free"):
-            series_numerator(branch, 2)
+            theta_splitting(branch, 2).numerator()
     with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*outside every"):
-        series_numerator(REFUSED, 1)
+        theta_splitting(REFUSED, 1).numerator()
     with pytest.raises(UnsupportedBranchError, match="no closed-form numerator.*torsion-free"):
-        series_numerator(REFUSED, 2)
+        theta_splitting(REFUSED, 2).numerator()
     assert GradedBundle(()).numerator() == polynomial([])
     # O(t)^m contributes m t^(-t), whatever the gaps between twists
     assert GradedBundle(((0, 2), (-3, 5))).numerator().coeffs == (2, 0, 0, 5)
@@ -257,8 +254,8 @@ def test_step_increments_grow_the_splitting():
     for branch in SPLIT_BRANCHES:
         increment = ratsurf.theta._SPLITTINGS[branch].increment
         for r in range(1, 51):
-            stepped = theta_splitting(branch, r).bundle.union(increment(r))
-            assert stepped == theta_splitting(branch, r + 1).bundle
+            stepped = theta_splitting(branch, r).union(increment(r))
+            assert stepped == theta_splitting(branch, r + 1)
         assert step_failure(branch, 50) is None
         with pytest.raises(ValueError, match="needs r >= "):
             step_failure(branch, 50, start=0)
@@ -282,13 +279,13 @@ def test_closed_form_equals_decomposition_sum():
     contexts = [CTX_CONIC, CTX_CUBIC, CTX_G1_F0, CTX_G2_F0, CTX_G2_F1]
     for ctx in contexts:
         for r in range(1, 31):
-            closed = z_series(ctx, r, 60)
-            summed = z_from_decomposition(pushforward_decomposition(ctx, r), ctx.l, 60)
+            closed = ThetaSeries(ctx, r, 60).h0
+            summed = z_from_decomposition(theta_splitting(ctx.branch, r), ctx.l, 60)
             assert closed == summed
     # prefix consistency at other truncation orders
     for trunc in (0, 1, 7):
-        a = z_series(CTX_G2_F1, 5, trunc)
-        b = z_series(CTX_G2_F1, 5, 60)
+        a = ThetaSeries(CTX_G2_F1, 5, trunc).h0
+        b = ThetaSeries(CTX_G2_F1, 5, 60).h0
         assert a.coeffs == b.coeffs[: trunc + 1]
 
 
@@ -301,7 +298,7 @@ def test_series_columns_equal_the_sums_over_every_summand():
         binom = {x: binom_polynomial(x, l) for x in range(low + l, 201 + l)}
         h0 = {j: cohomology_projective_space(l, j).h0 for j in range(low, 201)}
         for r in [*range(1, 61), 200, 500]:
-            gb = pushforward_decomposition(ctx, r)
+            gb = theta_splitting(ctx.branch, r)
             chi = [sum(m * binom[n + t + l] for t, m in gb.summands) for n in range(201)]
             summed = [sum(m * h0[n + t] for t, m in gb.summands) for n in range(201)]
             for trunc in (0, 1, l - 1, l, l + 1, 200):
@@ -329,7 +326,7 @@ def test_chi_seed_edges():
             if trunc < 0:
                 continue
             series = ThetaSeries(ctx, 2, trunc)
-            series.split = series.split._replace(bundle=gapped)
+            series.bundle = gapped
             expected = tuple(gapped.euler_char(ctx.l, n) for n in range(trunc + 1))
             assert series.chi.coeffs == expected, (ctx.L, trunc)
     for ctx in (CTX_CUBIC, rigid):
@@ -370,15 +367,17 @@ def test_summand_route_matches_the_double_loop(case):
 def test_chi_column_is_the_euler_characteristic_at_every_n(case):
     gb, l, trunc = case
     series = ThetaSeries(CTX_CUBIC._replace(l=l), 2, trunc)
-    series.split = series.split._replace(bundle=gb)
+    series.bundle = gb
     assert series.chi.coeffs == tuple(gb.euler_char(l, n) for n in range(trunc + 1))
 
 
 def test_theta_series_views_and_refusals():
     series = ThetaSeries(CTX_G2_F1, 7, 30)
-    assert series.h0 == z_series(CTX_G2_F1, 7, 30)
-    assert series.numerator == series_numerator(Branch.GENUS_TWO, 7)
-    assert series.split == theta_splitting(Branch.GENUS_TWO, 7)
+    assert series.h0 == ThetaSeries(CTX_G2_F1, 7, 30).h0
+    assert series.numerator == theta_splitting(Branch.GENUS_TWO, 7).numerator()
+    assert (series.bundle, series.entry) == (
+        theta_splitting(Branch.GENUS_TWO, 7), ratsurf.theta._entry(Branch.GENUS_TWO, 7)
+    )
     # a rigid class has a constant chi column but no summand route
     rigid = ThetaSeries(theta_context(F1, divisor(1, 0)), 3, 4)
     assert rigid.chi.coeffs == rigid.h0.coeffs == (1,) * 5
@@ -412,7 +411,7 @@ def test_report_columns_cost_linear_work(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main("report --surface f1 --class 2G+4F --r 500 --trunc 200".split())
     assert code == 1  # no-higher-cohomology fails once r > l, as criterion 08 does
-    twists = len(pushforward_decomposition(CTX_G2_F1, 500).summands)
+    twists = len(theta_splitting(CTX_G2_F1.branch, 500).summands)
     assert twists == 501
     assert 0 < calls["binom"] <= (CTX_G2_F1.l + 1) * twists
     assert calls["binom"] <= twists + CTX_G2_F1.l + 1  # one per argument of the chi seed
@@ -432,7 +431,7 @@ def test_chi_builds_no_difference_weight_up_to_l(monkeypatch):
     l = CTX_G2_F1.l
     for trunc in (0, l - 1, l):
         series = ThetaSeries(CTX_G2_F1, 3, trunc)
-        gb = series.split.bundle
+        gb = series.bundle
         assert series.chi.coeffs == tuple(gb.euler_char(l, n) for n in range(trunc + 1))
     assert calls == []
     with contextlib.redirect_stdout(io.StringIO()):
@@ -443,7 +442,7 @@ def test_chi_builds_no_difference_weight_up_to_l(monkeypatch):
 
 
 def test_first_power_series_is_binomial():
-    assert z_series(CTX_QUARTIC, 1, 3).coeffs == tuple(
+    assert ThetaSeries(CTX_QUARTIC, 1, 3).h0.coeffs == tuple(
         math.comb(n + 14, 14) for n in range(4)
     )
 
@@ -472,7 +471,7 @@ def test_euler_char_lambda_detects_higher_cohomology():
     # at power l+1 the twist -(l+1) contributes (-1)^l to chi at n = 0
     r = CTX_CUBIC.l + 1
     assert euler_char_lambda(CTX_CUBIC, r, 0) == h0_lambda(CTX_CUBIC, r, 0) - 1
-    gb = pushforward_decomposition(CTX_CUBIC, r)
+    gb = theta_splitting(CTX_CUBIC.branch, r)
     assert not higher_cohomology_vanishes(gb, CTX_CUBIC.l, 0)
 
 
@@ -485,14 +484,14 @@ def test_stabilization_of_the_two_routes():
 
 
 def test_higher_cohomology_vanishes():
-    gb = pushforward_decomposition(CTX_G2_F0, 3)
+    gb = theta_splitting(CTX_G2_F0.branch, 3)
     assert higher_cohomology_vanishes(gb, 11, 0)
     assert not higher_cohomology_vanishes(GradedBundle(((-5, 1),)), 3, 0)
     assert higher_cohomology_vanishes(GradedBundle(((0, 1),)), 4, 0)
     # at the supported example dimensions, vanishing holds for all n >= 0 once r <= l-2
     for ctx in (CTX_CUBIC, CTX_G1_F0, CTX_G2_F0, CTX_G2_F1):
         for r in range(1, ctx.l - 1):
-            gb = pushforward_decomposition(ctx, r)
+            gb = theta_splitting(ctx.branch, r)
             for n in range(0, 25):
                 assert higher_cohomology_vanishes(gb, ctx.l, n)
 
@@ -502,18 +501,20 @@ def test_higher_cohomology_vanishes():
 
 def test_recursion_examples():
     for r in (2, 3, 10):
-        assert recursion_check_g2(r)
-    assert all(recursion_check_g2(r) for r in range(2, 51))
+        assert step_failure(Branch.GENUS_TWO, r, start=r) is None
+    assert all(step_failure(Branch.GENUS_TWO, r, start=r) is None for r in range(2, 51))
     with pytest.raises(ValueError):
-        recursion_check_g2(1)
+        step_failure(Branch.GENUS_TWO, 1, start=1)
 
 
-def assert_walk_names_the_first_bad_step(monkeypatch, capsys, branch, one_step, argv, name):
+def assert_walk_names_the_first_bad_step(monkeypatch, capsys, branch, argv, name):
     """Slip the increments or the blocks of `branch` from power bad on: the
-    walk, the one-step check `one_step` and the CLI witness of `argv` each
-    name bad."""
+    walk, its one-step form and the CLI witness of `argv` each name bad."""
     assert step_failure(branch, 500) is None
     entry = ratsurf.theta._SPLITTINGS[branch]
+
+    def one_step(r):
+        return step_failure(branch, r, start=r) is None
 
     def increment(r, bad):  # power r+1 over power r, wrong once r >= bad
         *head, (t, m) = entry.increment(r)
@@ -542,18 +543,13 @@ def assert_walk_names_the_first_bad_step(monkeypatch, capsys, branch, one_step, 
 
 def test_recursion_walk_reports_the_first_bad_step(monkeypatch, capsys):
     argv = "report --surface f0 --class 2G+3F --r 600 --trunc 3"
-    assert_walk_names_the_first_bad_step(
-        monkeypatch, capsys, Branch.GENUS_TWO, recursion_check_g2, argv, "recursion"
-    )
+    assert_walk_names_the_first_bad_step(monkeypatch, capsys, Branch.GENUS_TWO, argv, "recursion")
 
 
 def test_sequence_additivity_walk_reports_the_first_bad_step(monkeypatch, capsys):
-    def one_step(r):
-        return step_failure(Branch.GENUS_ONE, r, start=r) is None
-
     argv = "report --surface p2 --class 3H --r 600 --trunc 3"
     assert_walk_names_the_first_bad_step(
-        monkeypatch, capsys, Branch.GENUS_ONE, one_step, argv, "sequence-additivity"
+        monkeypatch, capsys, Branch.GENUS_ONE, argv, "sequence-additivity"
     )
 
 
@@ -601,8 +597,8 @@ def test_recursion_walk_costs_linear_work(monkeypatch):
 def test_sequence_additivity_genus_one():
     for ctx in (CTX_CUBIC, CTX_G1_F0):
         for r in range(1, 25):
-            stepped = pushforward_decomposition(ctx, r).union([(-(r + 1), 1)])
-            assert stepped == pushforward_decomposition(ctx, r + 1)
+            stepped = theta_splitting(ctx.branch, r).union([(-(r + 1), 1)])
+            assert stepped == theta_splitting(ctx.branch, r + 1)
 
 
 # ------------------------------------------------------------------- dualizing
@@ -655,8 +651,22 @@ def test_genus2_cohomology_rejects_bad_inputs():
 
 
 def test_readme_quick_start():
-    # the values the README's library quick start prints, line for line
-    ctx = theta_context(F1, divisor(2, 4))
-    assert z_series(ctx, 3, 5).coeffs == (1, 12, 81, 404, 1648, 5784)
-    assert pushforward_decomposition(ctx, 3).describe() == "O + O(-2)^3 + O(-3)^4 + O(-4)"
-    assert verify_genus2_cohomology(1, 5) == (6, 3, True)
+    # the README's library quick start runs as written, each expression line
+    # shows its value in its comment, and the values are these
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    shown = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment and "=" not in code:
+            value = eval(code, namespace)
+            assert repr(value).endswith(comment), (code, comment)
+            shown.append(value)
+    assert namespace["ctx"] == theta_context(F1, divisor(2, 4))
+    assert shown == [
+        (1, 12, 81, 404, 1648, 5784),
+        "O + O(-2)^3 + O(-3)^4 + O(-4)",
+        (6, 3, True),
+    ]
