@@ -4,8 +4,8 @@ and the cohomology counts behind it."""
 from ratsurf import (
     Branch,
     divisor,
-    dualizing_twist,
     hirzebruch,
+    intersect,
     step_failure,
     theta_context,
     theta_splitting,
@@ -40,4 +40,4 @@ for e in (0, 1):
 for e in (0, 1):
     surface = hirzebruch(e)
     print(f"\ndualizing twist on {surface.name} for 2G+{e + 3}F: "
-          f"{dualizing_twist(surface, divisor(2, e + 3))}")
+          f"{intersect(surface, divisor(2, e + 3), surface.canonical)}")

@@ -299,10 +299,13 @@ def _check_zseries(series: ThetaSeries, ample_text: str | None):
 
 
 def _check_invariants(series: ThetaSeries, ample_text: str | None):
+    from .conditions import Branch
     from .theta import step_failure
 
     branch, rank = series.ctx.branch, series.bundle.rank
-    expected = series.entry.expected_rank(series.r)
+    # h^0(J, Theta^r) = r^g on a compactified Jacobian fiber, and 1 on the
+    # genus <= 0 branch, whose fiber is a point (the zero class has g = 1 there)
+    expected = 1 if branch is Branch.GENUS_NONPOSITIVE else series.r**series.ctx.genus
     yield _entry("rank", None if rank == expected else f"rank {rank} != {expected}")
     if branch.value in _STEP_CHECKS:
         bad = step_failure(branch, max(2, series.r))
@@ -336,9 +339,9 @@ def _check_g2cohom(series: ThetaSeries, ample_text: str | None):
 
 
 def _check_dualizing(series: ThetaSeries, ample_text: str | None):
-    from .theta import dualizing_twist
-
-    twist = dualizing_twist(series.ctx.surface, series.ctx.L)
+    # the pullback of O(1) is trivial on each fiber of the support map, so the
+    # dualizing sheaf of each fiber is trivial whatever the twist L.K
+    twist = intersect(series.ctx.surface, series.ctx.L, series.ctx.surface.canonical)
     passing = f"twist L.K = {twist}; restriction to each support fiber is trivial"
     yield _entry("dualizing-twist", None, passing)
 
@@ -401,8 +404,8 @@ def _report_text(series: ThetaSeries, payload: dict, reports) -> list[str]:
         ("dim |L|", ctx.l),
     ])
     lines.append(
-        f"Z(t) = ({format_polynomial(series.numerator)}) / (1 - t)^{ctx.l + 1}"
-        f"    [{series.entry.provenance}]"
+        f"Z(t) = ({format_polynomial(series.bundle.numerator())}) / (1 - t)^{ctx.l + 1}"
+        f"    [{series.provenance}]"
     )
     lines.append("   n         h0        chi")
     lines += [f"{row['n']:>4}  {row['h0']:>9}  {row['chi']:>9}" for row in payload["series"]]

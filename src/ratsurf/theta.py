@@ -20,27 +20,30 @@ coefficient vector; the summand pairs and the rank are read off it.
 the head, the splitting at the lowest tabulated power; the block each further
 power adds (genus 1 adds O(-i), genus 2 adds O(-i)^(i+1) + O(-i-1)^(i-2));
 the increment power r+1 adds to power r, the twist along the theta divisor,
-written apart from the blocks; the expected rank r^g; and the provenance a
-report prints.  The summands at power r are the head plus the blocks up to r.
-At r = 1 the pushforward is O on every class of a verified family: that rule
-is one more row, `_RANK_ONE`.  `theta_splitting(branch, r)` is the one entry
-point to a power's splitting, a `GradedBundle`; its numerator is
-`.numerator()`.  The numerator, the rank and step checks and the CLI read the
-table; the paper's closed-form numerators are a test oracle for it.  For the
-other positive-genus classes of those families with r >= 2 the pushforward is
-only known to be torsion-free (locally free over the integral locus), so the
-library refuses rather than extrapolates; a class outside every verified
-family is refused at every power, r = 1 included.
+written apart from the blocks; and the provenance a report prints.  The
+summands at power r are the head plus the blocks up to r.  At r = 1 the
+pushforward is O on every class of a verified family: `_RANK_ONE` is the
+genus <= 0 row under its own provenance.  The rank is not tabulated: theta
+restricts to the principal polarization of a fiber of genus g, a compactified
+Jacobian, so the rank is h^0(J, Theta^r) = r^g (1 where the fiber is a
+point), and the CLI's `rank` check holds the table to it.  The one entry
+point to a power's splitting is `theta_splitting(branch, r)`, a
+`GradedBundle`; its numerator is `.numerator()`.  The numerator, the step
+check and the CLI read the table; the paper's closed-form numerators are a
+test oracle for it.  At r >= 2 on the other positive-genus classes of those
+families the pushforward is only known to be torsion-free (locally free over
+the integral locus), so the library refuses rather than extrapolates; a class
+outside every verified family is refused at every power, r = 1 included.
 
 `ThetaSeries(ctx, r, trunc)` is the one entry point to a power's series.  It
-holds the table row (`entry`: expected rank and provenance), the splitting
-(`bundle`), the numerator and three columns for n = 0..trunc: `h0` expands
-the numerator by exact running sums; `summed` reads h^0(P^l, O(j)) once per
-degree j <= trunc and m up to index trunc (twists below -trunc have no
-sections there), and takes coefficient n as one C-level `sum(map(mul, ...))`
-pairing the twists 0, -1, .. with the degrees n, n-1, ..; `chi`, a polynomial
-of degree l in n, is summed over m reversed at n = 0..l from one binomial per
-argument and extended past l through its vanishing (l+1)-th difference, one
+holds the table row's `provenance`, the splitting (`bundle`) and three
+columns for n = 0..trunc: `h0` expands the splitting's numerator by exact
+running sums; `summed` reads h^0(P^l, O(j)) once per degree j <= trunc and
+m up to index trunc (twists below -trunc have no sections there), and takes
+coefficient n as one C-level `sum(map(mul, ...))` pairing the twists
+0, -1, .. with the degrees n, n-1, ..; `chi`, a polynomial of degree l in n,
+is summed over m reversed at n = 0..l from one binomial per argument and
+extended past l through its vanishing (l+1)-th difference, one
 `sum(map(mul, ...))` of the l+1 previous values per n.  The two h0 routes stay
 independent (the numerator and `powerseries` against the summands and
 `cohom`), so a slip in either shows as a mismatch.  Because power s+1 is power
@@ -61,7 +64,7 @@ from typing import Callable, Iterable, NamedTuple
 from .cohom import cohomology_projective_space, cohomology_table, linear_system_dim
 from .conditions import Branch, classify_branch
 from .errors import ScopeError, UnsupportedBranchError
-from .picard import DivisorClass, Surface, arithmetic_genus, hirzebruch, intersect
+from .picard import DivisorClass, Surface, arithmetic_genus, hirzebruch
 from .powerseries import (
     Polynomial,
     SeriesCoefficients,
@@ -83,7 +86,6 @@ __all__ = [
     "euler_char_lambda",
     "higher_cohomology_vanishes",
     "step_failure",
-    "dualizing_twist",
     "verify_genus2_cohomology",
 ]
 
@@ -126,9 +128,6 @@ class GradedBundle(namedtuple("GradedBundle", "m")):
     @property
     def rank(self) -> int:
         return sum(self.m)
-
-    def union(self, pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
-        return GradedBundle.from_summands([*self.summands, *pairs])
 
     def numerator(self) -> Polynomial:
         """Sum of m t^(-t): the numerator of its section series over (1-t)^(l+1)."""
@@ -173,7 +172,6 @@ class _Entry(NamedTuple):
     head: tuple[tuple[int, int], ...]  # the splitting at power `base`
     block: Callable[[int], list[tuple[int, int]]]  # what power i > base adds to power i-1
     increment: Callable[[int], list[tuple[int, int]]]  # power r+1 over r, apart from `block`
-    expected_rank: Callable[[int], int]
     provenance: str
 
     def summands(self, r: int) -> list[tuple[int, int]]:
@@ -188,7 +186,6 @@ _SPLITTINGS = {
         ((0, 1),),
         lambda i: [],
         lambda r: [],
-        lambda r: 1,
         "trivial pushforward: the moduli space is the linear system",
     ),
     Branch.GENUS_ONE: _Entry(
@@ -196,7 +193,6 @@ _SPLITTINGS = {
         ((0, 1),),
         lambda i: [(-i, 1)],
         lambda r: [(-(r + 1), 1)],
-        lambda r: r,
         "genus-1 splitting: twists 0, -2 .. -r",
     ),
     Branch.GENUS_TWO: _Entry(
@@ -204,7 +200,6 @@ _SPLITTINGS = {
         ((0, 1), (-2, 3)),
         lambda i: [(-i, i + 1), (-i - 1, i - 2)],
         lambda r: [(-(r + 1), r + 2), (-(r + 2), r - 1)],
-        lambda r: r * r,
         "genus-2 splitting: 1 + 3t^2 block plus recursive twist blocks",
     ),
 }
@@ -212,13 +207,8 @@ _SPLITTINGS = {
 
 #: The r = 1 rule: the pushforward is O on every class of a verified family,
 #: the positive-genus family beyond `_SPLITTINGS` included.
-_RANK_ONE = _Entry(
-    1,
-    ((0, 1),),
-    lambda i: [],
-    lambda r: [],
-    lambda r: 1,
-    "rank-one pushforward: structure sheaf of the linear system",
+_RANK_ONE = _SPLITTINGS[Branch.GENUS_NONPOSITIVE]._replace(
+    provenance="rank-one pushforward: structure sheaf of the linear system"
 )
 
 
@@ -253,29 +243,25 @@ def theta_splitting(branch: Branch, r: int) -> GradedBundle:
 
 
 class ThetaSeries:
-    """Z^r(t) of one context through t^trunc.  Each part is computed on first
-    read and kept, so a refusal is raised where the series is first read."""
+    """Z^r(t) of one context through t^trunc: `provenance`, the splitting
+    `bundle` and the columns.  Each part is computed on first read and kept,
+    so a refusal is raised where the series is first read."""
 
     def __init__(self, ctx: ThetaContext, r: int, trunc: int) -> None:
         self.ctx, self.r, self.trunc = ctx, r, trunc
 
     @cached_property
-    def entry(self) -> _Entry:
-        """The table row: expected rank and provenance."""
-        return _entry(self.ctx.branch, self.r)
+    def provenance(self) -> str:
+        return _entry(self.ctx.branch, self.r).provenance
 
     @cached_property
     def bundle(self) -> GradedBundle:
         return theta_splitting(self.ctx.branch, self.r)
 
     @cached_property
-    def numerator(self) -> Polynomial:
-        return self.bundle.numerator()
-
-    @cached_property
     def h0(self) -> SeriesCoefficients:
         """h^0 by the numerator route."""
-        return expand_rational_gf(self.numerator, self.ctx.l, self.trunc)
+        return expand_rational_gf(self.bundle.numerator(), self.ctx.l, self.trunc)
 
     @cached_property
     def summed(self) -> SeriesCoefficients:
@@ -359,16 +345,6 @@ def step_failure(branch: Branch, top: int, start: int | None = None) -> int | No
         raise ValueError(f"the step check on {branch.value} needs r >= {entry.base}, got {start}")
     steps = range(start, top + 1)
     return next((s for s in steps if entry.increment(s) != entry.block(s + 1)), None)
-
-
-def dualizing_twist(surface: Surface, L: DivisorClass) -> int:
-    """Exponent L.K of the tautological twist giving the dualizing sheaf on M.
-
-    Restricting the pullback of O(1) to a fiber of the support map is trivial
-    for any exponent, so the dualizing sheaf of each fiber (a compactified
-    Jacobian for integral support) is trivial regardless of the value.
-    """
-    return intersect(surface, L, surface.canonical)
 
 
 class Genus2CohomologyCheck(NamedTuple):

@@ -23,6 +23,7 @@ from ratsurf import (
     enumerate_effective_below,
     euler_char,
     euler_char_lambda,
+    GradedBundle,
     h0_lambda,
     hirzebruch,
     linear_system_dim,
@@ -105,7 +106,7 @@ def test_criterion_03_genus_one_tower():
         ok &= list(z_from_decomposition(gb, ctx.l, 25).coeffs) == expected
         ok &= list(ThetaSeries(ctx, r, 25).h0.coeffs) == expected
         ok &= gb.rank == r
-        stepped = gb.union([(-(r + 1), 1)])
+        stepped = GradedBundle.from_summands([*gb.summands, (-(r + 1), 1)])
         ok &= stepped == theta_splitting(ctx.branch, r + 1)
     report(3, "genus-1 tower: decomposition, closed form, rank, additivity", ok)
     assert ok

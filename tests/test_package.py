@@ -1,7 +1,9 @@
 """The package namespace: the union of the six library modules' public names."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import ratsurf
 from ratsurf import cohom, conditions, errors, picard, powerseries, theta
@@ -26,8 +28,8 @@ PUBLIC_NAMES = [
     "ThetaSeries", "UnsupportedBranchError", "arithmetic_genus", "binom_polynomial", "binomial",
     "blowup_hirzebruch", "check_a1", "check_a2", "check_a3", "classify_branch",
     "cohomology_projective_space", "cohomology_table", "default_very_ample", "describe",
-    "divisor", "dualizing_twist", "enumerate_decompositions", "enumerate_effective_below",
-    "euler_char", "euler_char_lambda", "euler_pairing", "expand_rational_gf", "format_divisor",
+    "divisor", "enumerate_decompositions", "enumerate_effective_below", "euler_char",
+    "euler_char_lambda", "euler_pairing", "expand_rational_gf", "format_divisor",
     "format_polynomial", "gf_coefficient", "h0_blowup", "h0_class", "h0_lambda",
     "higher_cohomology_vanishes", "hirzebruch", "intersect", "is_effective", "is_very_ample",
     "linear_system_dim", "moduli_dimension", "parse_divisor", "polynomial", "projective_plane",
@@ -39,7 +41,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # a name added to or removed from the surface shows up in this list's diff
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 66
     assert ratsurf.__all__ == PUBLIC_NAMES
 
 
@@ -72,3 +74,19 @@ except AttributeError as exc:
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "no_such_name" in proc.stdout
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # every name an import binds, at module level or inside a function, is
+    # read as a Name somewhere in the same module
+    for path in sorted(Path(ratsurf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = (n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in imports
+            if getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        assert imported <= used, (path.name, sorted(imported - used))

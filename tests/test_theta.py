@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import json
 import math
 import types
 from pathlib import Path
@@ -22,7 +23,6 @@ from ratsurf import (
     binomial,
     cohomology_projective_space,
     divisor,
-    dualizing_twist,
     euler_char_lambda,
     h0_lambda,
     higher_cohomology_vanishes,
@@ -111,12 +111,12 @@ def test_rank_is_power_of_genus():
         assert theta_splitting(CTX_CONIC.branch, r).rank == 1
     assert theta_splitting(CTX_CUBIC.branch, 5).rank == 5
     assert theta_splitting(CTX_G2_F0.branch, 3).rank == 9
-    # the expected rank the table states is r^g
+    # every tabulated branch has rank r^g, the genus <= 0 one rank 1 = r^0
     for branch, genus in SPLIT_BRANCHES.items():
         for r in range(1, 51):
-            assert ratsurf.theta._entry(branch, r).expected_rank(r) == r**genus
+            assert theta_splitting(branch, r).rank == r**genus
     for branch in FIRST_POWER_ONLY:
-        assert ratsurf.theta._entry(branch, 1).expected_rank(1) == 1
+        assert theta_splitting(branch, 1).rank == 1
     for r in (1, 2):
         with pytest.raises(UnsupportedBranchError, match=f"at power {r}: "):
             theta_splitting(REFUSED, r)
@@ -197,7 +197,7 @@ def test_bundle_views_equal_a_dict_merge(pairs, more):
     assert_bundle_matches(gb, merged)
     both = merged_oracle([*pairs, *more])
     if min(both.values(), default=0) >= 0:
-        assert_bundle_matches(gb.union(more), both)
+        assert_bundle_matches(GradedBundle.from_summands([*gb.summands, *more]), both)
 
 
 def test_empty_bundle_views():
@@ -254,7 +254,8 @@ def test_step_increments_grow_the_splitting():
     for branch in SPLIT_BRANCHES:
         increment = ratsurf.theta._SPLITTINGS[branch].increment
         for r in range(1, 51):
-            stepped = theta_splitting(branch, r).union(increment(r))
+            gb = theta_splitting(branch, r)
+            stepped = GradedBundle.from_summands([*gb.summands, *increment(r)])
             assert stepped == theta_splitting(branch, r + 1)
         assert step_failure(branch, 50) is None
         with pytest.raises(ValueError, match="needs r >= "):
@@ -374,9 +375,8 @@ def test_chi_column_is_the_euler_characteristic_at_every_n(case):
 def test_theta_series_views_and_refusals():
     series = ThetaSeries(CTX_G2_F1, 7, 30)
     assert series.h0 == ThetaSeries(CTX_G2_F1, 7, 30).h0
-    assert series.numerator == theta_splitting(Branch.GENUS_TWO, 7).numerator()
-    assert (series.bundle, series.entry) == (
-        theta_splitting(Branch.GENUS_TWO, 7), ratsurf.theta._entry(Branch.GENUS_TWO, 7)
+    assert (series.bundle, series.provenance) == (
+        theta_splitting(Branch.GENUS_TWO, 7), ratsurf.theta._entry(Branch.GENUS_TWO, 7).provenance
     )
     # a rigid class has a constant chi column but no summand route
     rigid = ThetaSeries(theta_context(F1, divisor(1, 0)), 3, 4)
@@ -553,6 +553,30 @@ def test_sequence_additivity_walk_reports_the_first_bad_step(monkeypatch, capsys
     )
 
 
+def test_rank_check_catches_the_rank_one_row_on_a_tower(monkeypatch, capsys):
+    # the r = 1 row slipped onto every genus-2 power agrees with itself, so
+    # only the rank r^g derived from the class can catch it
+    real = ratsurf.theta._entry
+    monkeypatch.setattr(
+        ratsurf.theta,
+        "_entry",
+        lambda b, r: ratsurf.theta._RANK_ONE if b is Branch.GENUS_TWO else real(b, r),
+    )
+    code = main("report --surface f1 --class 2G+4F --r 3 --trunc 4 --checks invariants".split())
+    assert code == 1
+    assert "  rank: FAIL (rank 1 != 9)" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("surface", ["p2", "f0", "f1b"])
+def test_rank_of_the_zero_class_is_one(capsys, surface):
+    # the zero class has genus 1 but a point as fiber: its branch, not r^g, sets the rank
+    argv = f"report --surface {surface} --class 0 --r 3 --trunc 2 --checks invariants"
+    assert main(argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "genus      1" in lines
+    assert "  rank: PASS" in lines
+
+
 def free_form_summands(branch, r):
     """The tower splittings at r >= 2, each written as one expression: an
     oracle for the table's head-plus-blocks form."""
@@ -597,30 +621,25 @@ def test_recursion_walk_costs_linear_work(monkeypatch):
 def test_sequence_additivity_genus_one():
     for ctx in (CTX_CUBIC, CTX_G1_F0):
         for r in range(1, 25):
-            stepped = theta_splitting(ctx.branch, r).union([(-(r + 1), 1)])
+            gb = theta_splitting(ctx.branch, r)
+            stepped = GradedBundle.from_summands([*gb.summands, (-(r + 1), 1)])
             assert stepped == theta_splitting(ctx.branch, r + 1)
 
 
 # ------------------------------------------------------------------- dualizing
 
 
-def test_dualizing_twist_examples():
-    assert dualizing_twist(P2, divisor(3)) == -9
-    for e in (0, 1):
-        assert dualizing_twist(hirzebruch(e), divisor(2, e + 3)) == -10
-    assert dualizing_twist(P2, divisor(0)) == 0
-
-
-def test_dualizing_twist_is_linear():
-    for surface, classes in [
-        (P2, [divisor(1), divisor(2), divisor(5)]),
-        (F1, [divisor(1, 0), divisor(2, 4), divisor(0, 3)]),
+def test_dualizing_twist_examples(capsys):
+    # the witness is L.K, the canonical pairing `genus` reports for the class
+    for surface, cls, twist in [
+        ("p2", "3H", -9), ("f0", "2G+3F", -10), ("f1", "2G+4F", -10), ("p2", "0", 0)
     ]:
-        for a in classes:
-            for b in classes:
-                assert dualizing_twist(surface, a + b) == dualizing_twist(
-                    surface, a
-                ) + dualizing_twist(surface, b)
+        opts = ["--surface", surface, "--class", cls]
+        assert main(["report", *opts, "--r", "1", "--trunc", "0", "--checks", "dualizing"]) == 0
+        witness = f"twist L.K = {twist}; restriction to each support fiber is trivial"
+        assert f"  dualizing-twist: PASS ({witness})" in capsys.readouterr().out
+        assert main(["genus", *opts, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["canonical_pairing"] == twist
 
 
 # ------------------------------------------------------- genus-2 cohomology
