@@ -64,6 +64,8 @@ class CohomologyTable(namedtuple("CohomologyTable", "h0 h1 h2 chi")):
 
 
 class ProjectiveSpaceCohomology(NamedTuple):
+    """h^0 and h^l of a line bundle O(m) on P^l; the middle groups vanish."""
+
     h0: int
     h_top: int
 

@@ -35,10 +35,11 @@ comparing kinds.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
-from itertools import product
+from itertools import product, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -71,6 +72,8 @@ DECOMPOSITION_CAP = 24  # bounds the box below L and A2's decomposition walk, no
 
 
 class Branch(Enum):
+    """The regime a class's generating series is computed by (`classify_branch`)."""
+
     GENUS_NONPOSITIVE = "GenusNonPositive"
     POSITIVE_GENUS_GENERAL = "PositiveGenusGeneral"
     GENUS_ONE = "GenusOne"
@@ -192,11 +195,11 @@ def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decompos
 
 def _decompositions(surface: Surface, L: DivisorClass, below: list) -> list[Decomposition]:
     """The walk of `enumerate_decompositions`, over `below`: the classes 0 < D <= L."""
-    candidates = [d.coeffs for d in below]
+    columns = list(zip(*(d.coeffs for d in below)))  # one tuple per coordinate
     zero = (0,) * len(L.coeffs)
     fits, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
 
-    results: list[tuple[int, ...]] = []  # indices into the sorted `candidates`
+    results: list[tuple[int, ...]] = []  # indices into the sorted `below`
     parts: list[int] = []
 
     def walk(remaining: tuple[int, ...], start: int) -> None:
@@ -204,8 +207,12 @@ def _decompositions(surface: Surface, L: DivisorClass, below: list) -> list[Deco
             if len(parts) >= 2:
                 results.append(tuple(parts))
             return
-        for i in range(start, len(candidates)):
-            rest = tuple(x - y for x, y in zip(remaining, candidates[i]))
+        # remaining - below[i] for every i >= start, built in C a column at a
+        # time; each rest still gets its own rule call, in index order
+        rests = zip(
+            *(map(operator.sub, repeat(r), col[start:]) for r, col in zip(remaining, columns))
+        )
+        for i, rest in enumerate(rests, start):
             if fits(e, rest):
                 parts.append(i)
                 walk(rest, i)
@@ -289,13 +296,9 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
 
     g_l = arithmetic_genus(surface, L)
     bound = dim_l + g_l
-    dims = {d.coeffs: linear_system_dim(surface, d) for d in below}
+    weight = {d.coeffs: linear_system_dim(surface, d) + max(genus[d.coeffs], 0) for d in below}
     for dec in decompositions:
-        lhs = (
-            sum(dims[p.coeffs] for p in dec.parts)
-            + sum(max(genus[p.coeffs], 0) for p in dec.parts)
-            + 2
-        )
+        lhs = 2 + sum(weight[p.coeffs] for p in dec.parts)
         template = "{}: sum dims + sum max(g,0) + 2 = {} {op} {}"
         rows.append(Row(lhs <= bound, dec, template, (dec, lhs, bound)))
     return ConditionReport.from_rows("A2", surface, rows)

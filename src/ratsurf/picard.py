@@ -63,6 +63,8 @@ __all__ = [
 
 
 class SurfaceKind(Enum):
+    """The three surface families; `cohom.KIND_RULES` holds each one's numeric rules."""
+
     PROJECTIVE_PLANE = "projective-plane"
     HIRZEBRUCH = "hirzebruch"
     BLOWUP_HIRZEBRUCH = "blowup-hirzebruch"
@@ -132,6 +134,7 @@ class Surface(NamedTuple):
 
 @lru_cache(maxsize=None)
 def projective_plane() -> Surface:
+    """P^2 with basis (H,), H.H = 1 and K = -3H."""
     return Surface(
         SurfaceKind.PROJECTIVE_PLANE, 0, ("H",), ((1,),), "P2", "projective plane",
         DivisorClass((-3,)),
@@ -140,6 +143,7 @@ def projective_plane() -> Surface:
 
 @lru_cache(maxsize=None)
 def hirzebruch(e: int) -> Surface:
+    """F_e with basis (G, F), G.G = -e, G.F = 1, F.F = 0 and K = -2G-(e+2)F."""
     if e < 0:
         raise ClassParseError(f"Hirzebruch parameter must be >= 0, got {e}")
     return Surface(
@@ -150,6 +154,7 @@ def hirzebruch(e: int) -> Surface:
 
 @lru_cache(maxsize=None)
 def blowup_hirzebruch(e: int) -> Surface:
+    """F_e blown up at a generic point, basis (G, F, E), E.E = -1 and K = -2G-(e+2)F+E."""
     if e < 0:
         raise ClassParseError(f"Hirzebruch parameter must be >= 0, got {e}")
     gram = ((-e, 1, 0), (1, 0, 0), (0, 0, -1))
@@ -175,6 +180,7 @@ def surface_from_name(text: str) -> Surface:
 
 
 def zero_class(surface: Surface) -> DivisorClass:
+    """The zero class in the surface's basis."""
     return DivisorClass((0,) * len(surface.basis))
 
 

@@ -348,6 +348,8 @@ def step_failure(branch: Branch, top: int, start: int | None = None) -> int | No
 
 
 class Genus2CohomologyCheck(NamedTuple):
+    """The counts `verify_genus2_cohomology` reads and whether all six identities hold."""
+
     h0_pos: int
     h1_neg: int
     ok: bool

@@ -163,6 +163,8 @@ def test_exit_code_2_on_parse_errors(capsys):
     code, _, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3G")
     assert code == 2
     assert "basis" in err
+    code, out, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3H+")
+    assert (code, out, err) == (2, "", "error: cannot parse divisor class '3H+'\n")
     # argparse-level usage errors also exit 2
     code = main(["zseries", "--surface", "p2"])
     assert code == 2
@@ -310,6 +312,24 @@ def test_g2cohom_witness_names_the_first_failing_power(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         assert f"  genus2-cohomology: FAIL (fails at power {bad})" in out
+
+
+def test_series_consistency_witness_names_the_first_differing_coefficient(capsys, monkeypatch):
+    summed = theta.z_from_decomposition
+    argv = ["report", "--surface", "f1", "--class", "2G+4F", "--r", "3", "--trunc", "4"]
+
+    def off_by_one_at_2(gb, l, trunc):
+        series = summed(gb, l, trunc)
+        coeffs = list(series.coeffs)
+        coeffs[2] += 1
+        return series._replace(coeffs=tuple(coeffs))
+
+    monkeypatch.setattr(theta, "z_from_decomposition", off_by_one_at_2)
+    code, out, err = run_cli(capsys, *argv, "--checks", "zseries")
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "checks\n  series-consistency: FAIL (n=2: closed form 81 != summand count 82)\n"
+    )
 
 
 def check_names(out):

@@ -58,9 +58,9 @@ def test_small_conditions_pool_matches_reference():
     classes = [
         (surface, cls)
         for surface, cls in workloads.CONDITIONS_POOL
-        if sum(map(int, re.findall(r"\d+", cls))) <= 10
+        if sum(map(int, re.findall(r"\d+", cls))) <= 11
     ]
-    assert len(classes) == 62
+    assert len(classes) == 71
     mismatches = [
         " ".join(argv)
         for surface, cls in classes

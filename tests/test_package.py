@@ -53,6 +53,22 @@ def test_star_import_binds_every_public_name():
         assert namespace[name] is getattr(ratsurf, name), name
 
 
+def test_every_public_callable_has_its_own_docstring():
+    # a class's docstring must be written in its own body: an inherited one, or
+    # the "Name(field, ...)" text a named tuple generates, does not count
+    missing = []
+    for module in MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            is_class = isinstance(obj, type)
+            doc = vars(obj).get("__doc__") if is_class else obj.__doc__
+            if not (doc and doc.strip()) or (is_class and doc.startswith(f"{name}(")):
+                missing.append(f"{module.__name__}.{name}")
+    assert not missing
+
+
 def test_version():
     assert ratsurf.__version__ == "0.1.0"
 

@@ -67,6 +67,10 @@ def test_intersect_rejects_dimension_mismatch():
         intersect(P2, divisor(1, 2), divisor(1))
     with pytest.raises(ClassParseError, match="different lattices"):
         divisor(1) + divisor(1, 2)
+    # classes scale by integers only
+    assert 3 * divisor(1, 2) == divisor(3, 6)
+    with pytest.raises(TypeError):
+        2.5 * divisor(1, 2)
 
 
 @settings(max_examples=200, derandomize=True)

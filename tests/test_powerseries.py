@@ -161,6 +161,8 @@ def test_expand_refuses_negative_orders():
         expand_rational_gf(num, -1, -1)
     with pytest.raises(ValueError, match="denominator exponent parameter must be >= 0"):
         gf_coefficient(num, -1, 2)
+    with pytest.raises(ValueError, match="^binomial order must be >= 0, got -1$"):
+        binom_polynomial(5, -1)
 
 
 def test_format_polynomial():

@@ -139,6 +139,8 @@ def test_unsupported_powers_raise():
     assert "at power 1: " in str(refusal.value) and "r >= 2" not in str(refusal.value)
     # the positive-genus family keeps its first power
     assert theta_splitting(CTX_QUARTIC.branch, 1).summands == ((0, 1),)
+    with pytest.raises(ValueError, match="^theta power must be >= 1, got 0$"):
+        theta_splitting(Branch.GENUS_ONE, 0)
 
 
 def test_graded_bundle_validation():
@@ -273,6 +275,8 @@ def test_z_from_decomposition_examples():
     assert list(series.coeffs) == [math.comb(n + 9, 9) for n in range(5)]
     assert z_from_decomposition(GradedBundle(((0, 1), (-2, 1))), 9, 2).coeffs == (1, 10, 56)
     assert z_from_decomposition(GradedBundle(((0, 1), (-2, 3))), 11, 1).coeffs == (1, 12)
+    with pytest.raises(ValueError, match="^truncation order must be >= 0, got -1$"):
+        z_from_decomposition(gb, 3, -1)
 
 
 def test_closed_form_equals_decomposition_sum():
