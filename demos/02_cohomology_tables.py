@@ -2,15 +2,16 @@
 action, and the narrow blowup scope."""
 
 from ratsurf import (
+    blowup_hirzebruch,
     cohomology_projective_space,
     cohomology_table,
     divisor,
-    h0_blowup,
+    h0_class,
     hirzebruch,
     projective_plane,
 )
 
-p2, f1 = projective_plane(), hirzebruch(1)
+p2, f1, f0b = projective_plane(), hirzebruch(1), blowup_hirzebruch(0)
 
 print("== O(dH) on the plane ==")
 print(" d   h0  h1  h2  chi")
@@ -41,6 +42,6 @@ for m in range(-6, 3):
 # One generic base point on the blowup: one linear condition, nothing more.
 print("\n== blown-up F_0, subtracting the exceptional curve ==")
 for (a, b) in [(0, 2), (1, 1), (2, 0)]:
-    plain = h0_blowup(0, a, b, 0)
-    dropped = h0_blowup(0, a, b, 1)
+    plain = h0_class(f0b, divisor(a, b, 0))
+    dropped = h0_class(f0b, divisor(a, b, -1))
     print(f"{a}G+{b}F: h0 = {plain}  ->  minus E: {dropped}")

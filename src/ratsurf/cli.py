@@ -10,12 +10,14 @@ view is built only when text is shown, so JSON output renders no A1-A3 detail
 line.
 
 Exit codes: 0 all requested checks pass, 1 a requested check failed, 2 parse
-or configuration error, 3 unsupported branch or out-of-scope input (a rigid
-class with dim|L| = 0 included), 4 decomposition cap exceeded, 5 internal
-invariant failed (a bug; one line on stderr).  `--trunc` above its cap
-(default 200) and `--r` above its cap (default 1000) exit 2; the
-RATSURF_MAX_TRUNC and RATSURF_MAX_R environment variables override the caps,
-and are read on every call.
+or configuration error, 3 unsupported branch or out-of-scope input, 4
+decomposition cap exceeded, 5 internal invariant failed (a bug; one line on
+stderr).  A rigid class (dim|L| = 0) exits 3 only where the summand route
+runs, the `zseries` check; `--checks invariants`, `dualizing` and
+`conditions` still answer it.  `--trunc` above its cap (default 200) and
+`--r` above its cap (default 1000) exit 2; the RATSURF_MAX_TRUNC and
+RATSURF_MAX_R environment variables override the caps, and are read on every
+call.  `--ample` without the conditions check also exits 2.
 
 Two report checks state facts and cannot fail: `dualizing-twist` always
 passes with the twist L.K, and `nonnegative-coefficients` reads running sums
@@ -211,9 +213,8 @@ def _cmd_cohom(args) -> int:
 
 
 def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str | None):
-    from .cohom import linear_system_dim
     from .conditions import check_a1, check_a2, check_a3, default_very_ample
-    from .conditions import is_very_ample, refuse_over_cap, refuse_zero_class
+    from .conditions import is_very_ample, refuse_zero_class
 
     refuse_zero_class(divisor)  # before --ample is read
     if ample_text is not None:
@@ -224,15 +225,10 @@ def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str 
             )
     else:
         ample = default_very_ample(surface)
-    # a blowup is refused by now; a class that is not effective has no dim|L|,
-    # and one over the cap is refused before A1 walks the box below it
-    linear_system_dim(surface, divisor)
-    refuse_over_cap(surface, divisor)
-    return [
-        check_a1(surface, divisor, ample),
-        check_a2(surface, divisor),
-        check_a3(surface, divisor),
-    ], ample
+    # a blowup is refused by now; A2 runs first because it refuses a class
+    # that is not effective, then one over the cap, before A1 walks the box
+    a2 = check_a2(surface, divisor)
+    return [check_a1(surface, divisor, ample), a2, check_a3(surface, divisor)], ample
 
 
 def _entry(name: str, failure: str | None, passing: str | None = None) -> dict:
@@ -427,6 +423,8 @@ def _cmd_report(args) -> int:
     r = _validate("r", args.r, 1, "RATSURF_MAX_R", DEFAULT_R_CAP)
     trunc = _validate("trunc", args.trunc, 0, "RATSURF_MAX_TRUNC", DEFAULT_TRUNC_CAP)
     checks = _parse_checks(args.checks)
+    if args.ample is not None and "conditions" not in checks:
+        raise ClassParseError("--ample applies only to --checks conditions")
     from .theta import ThetaSeries, theta_context  # past the exit-2 refusals
 
     series = ThetaSeries(theta_context(surface, divisor), r, trunc)
@@ -461,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 4, str(exc)
     except UnsupportedBranchError as exc:
         code, message = 3, str(exc)
-    except (ClassParseError, ValueError) as exc:
+    except ValueError as exc:
         code, message = 2, str(exc)
     except AssertionError as exc:
         code, message = 5, "internal invariant failed: " + str(exc).split("\n")[0]

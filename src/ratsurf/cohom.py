@@ -42,7 +42,6 @@ __all__ = [
     "KIND_RULES",
     "ProjectiveSpaceCohomology",
     "cohomology_projective_space",
-    "h0_blowup",
     "h0_class",
     "cohomology_table",
     "linear_system_dim",
@@ -83,7 +82,7 @@ def cohomology_projective_space(l: int, m: int) -> ProjectiveSpaceCohomology:
     return ProjectiveSpaceCohomology(h0, h_top)
 
 
-def h0_blowup(e: int, a: int, b: int, c: int) -> int:
+def _h0_blowup(e: int, a: int, b: int, c: int) -> int:
     """h^0 of aG+bF-cE on the blowup of F_e at a generic point, c in {0, 1}.
 
     For c = 1 the generic point imposes one condition on the ambient system;
@@ -106,9 +105,9 @@ class KindRules(NamedTuple):
     """A surface kind's numeric rules, each a function of the Hirzebruch
     parameter e and a coefficient vector c; None (False for `serre_table`)
     where the verified scope ends.  `effective_or_zero` (D = 0 or
-    h^0(D) > 0, False outside the verified scope) is shared by
-    `is_effective`, the box filter and the decomposition walk;
-    `base_point_free` is the marker given h^0 > 0."""
+    h^0(D) > 0, False outside the verified scope) is shared by the box
+    filter and the decomposition walk; `base_point_free` is the marker given
+    h^0 > 0."""
 
     h0: Callable[[int, Coeffs], int]
     serre_table: bool  # whether h^1 and h^2 follow from h^0 by Serre duality
@@ -161,11 +160,11 @@ KIND_RULES = {
         positive_genus_below=_positive_genus_below_ruled,
     ),
     SurfaceKind.BLOWUP_HIRZEBRUCH: KindRules(
-        h0=lambda e, c: h0_blowup(e, c[0], c[1], -c[2]),
+        h0=lambda e, c: _h0_blowup(e, c[0], c[1], -c[2]),
         serre_table=False,
         # exceptional multiplicity -c[2] outside {0, 1} counts as non-effective
         effective_or_zero=lambda e, c: (
-            0 <= -c[2] <= 1 and (not any(c) or h0_blowup(e, c[0], c[1], -c[2]) > 0)
+            0 <= -c[2] <= 1 and (not any(c) or _h0_blowup(e, c[0], c[1], -c[2]) > 0)
         ),
         very_ample_default=None,
         very_ample=None,

@@ -43,7 +43,7 @@ from itertools import product, repeat
 from math import gcd
 from typing import NamedTuple
 
-from .cohom import KIND_RULES, h0_class, linear_system_dim
+from .cohom import KIND_RULES, linear_system_dim
 from .errors import EnumerationCapError, ScopeError, UnsupportedBranchError
 from .picard import DivisorClass, Surface, arithmetic_genus, format_divisor, intersect
 
@@ -53,13 +53,11 @@ __all__ = [
     "describe",
     "ConditionReport",
     "DECOMPOSITION_CAP",
-    "is_effective",
     "enumerate_effective_below",
     "enumerate_decompositions",
     "default_very_ample",
     "is_very_ample",
     "refuse_zero_class",
-    "refuse_over_cap",
     "check_a1",
     "check_a2",
     "check_a3",
@@ -144,16 +142,6 @@ class ConditionReport(namedtuple("ConditionReport", "condition passed witness de
         return cls(condition, all(row.ok for row in rows), witness, Details(surface, rows))
 
 
-def is_effective(surface: Surface, d: DivisorClass) -> bool:
-    """Whether O(D) has a nonzero section (the zero class counts).
-
-    The kind's coordinate rule decides; where it says no, h^0 confirms it,
-    and refuses a blowup class outside the verified scope.
-    """
-    rule = KIND_RULES[surface.kind].effective_or_zero
-    return rule(surface.e, d.coeffs) or h0_class(surface, d) > 0
-
-
 def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[DivisorClass]:
     """All classes D with 0 < D <= L (both D and L-D effective), sorted.
 
@@ -172,7 +160,7 @@ def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[Divisor
     ]
 
 
-def refuse_over_cap(surface: Surface, L: DivisorClass) -> None:
+def _refuse_over_cap(surface: Surface, L: DivisorClass) -> None:
     """Classes with sum(|coefficients|) above DECOMPOSITION_CAP are refused:
     their decomposition count grows exponentially."""
     weight = sum(abs(c) for c in L.coeffs)
@@ -186,10 +174,9 @@ def refuse_over_cap(surface: Surface, L: DivisorClass) -> None:
 def enumerate_decompositions(surface: Surface, L: DivisorClass) -> list[Decomposition]:
     """All multisets of >= 2 nonzero effective classes summing to L.
 
-    The singleton {L} is excluded, and a class over the cap is refused
-    (`refuse_over_cap`).
+    The singleton {L} is excluded, and a class over the cap is refused.
     """
-    refuse_over_cap(surface, L)
+    _refuse_over_cap(surface, L)
     return _decompositions(surface, L, enumerate_effective_below(surface, L))
 
 
@@ -277,7 +264,7 @@ def check_a2(surface: Surface, L: DivisorClass) -> ConditionReport:
     """Sub-class genus test plus the decomposition dimension inequality."""
     refuse_zero_class(L)
     dim_l = linear_system_dim(surface, L)  # refuses a non-effective L
-    refuse_over_cap(surface, L)  # before any walk below L
+    _refuse_over_cap(surface, L)  # before any walk below L
     below = enumerate_effective_below(surface, L)
     decompositions = _decompositions(surface, L, below)
     genus = {d.coeffs: arithmetic_genus(surface, d) for d in below}

@@ -51,7 +51,6 @@ __all__ = [
     "blowup_hirzebruch",
     "surface_from_name",
     "divisor",
-    "zero_class",
     "intersect",
     "arithmetic_genus",
     "euler_char",
@@ -179,11 +178,6 @@ def surface_from_name(text: str) -> Surface:
     raise ClassParseError(f"unknown surface {text!r} (expected p2, f<e> or f<e>b)")
 
 
-def zero_class(surface: Surface) -> DivisorClass:
-    """The zero class in the surface's basis."""
-    return DivisorClass((0,) * len(surface.basis))
-
-
 class SheafClass(namedtuple("SheafClass", "rank c1 chi")):
     """Numerical class of a coherent sheaf: (rank, first Chern class, chi)."""
 
@@ -269,7 +263,7 @@ def parse_divisor(surface: Surface, text: str) -> DivisorClass:
     if not s:
         raise ClassParseError("empty divisor-class string")
     if s == "0":
-        return zero_class(surface)
+        return DivisorClass((0,) * len(surface.basis))
     coeffs = [0] * len(surface.basis)
     index = {g: i for i, g in enumerate(surface.basis)}
     seen: set[str] = set()

@@ -92,21 +92,23 @@ __all__ = [
 
 class GradedBundle(namedtuple("GradedBundle", "m")):
     """Direct sum of twists O(-k)^m[k] on P^l, held as the dense vector m with
-    no trailing zero: the coefficient vector of its section series' numerator.
-    `GradedBundle(pairs)` takes (twist, multiplicity) pairs merged and sorted by
-    descending twist, and refuses any other; `from_summands` adds them in any order.
+    no trailing zero and no negative entry, and refused otherwise: the
+    coefficient vector of its section series' numerator.  `from_summands`
+    builds it from (twist, multiplicity) pairs in any order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, summands: tuple[tuple[int, int], ...]) -> "GradedBundle":
-        self = GradedBundle.from_summands(summands)
-        if self.summands != tuple(summands):  # a pair out of order, repeated or not positive
-            raise AssertionError("summands must be positive, merged and sorted by descending twist")
-        return self
+    def __new__(cls, m: tuple[int, ...]) -> "GradedBundle":
+        if m and not m[-1]:
+            raise AssertionError(f"trailing zero multiplicity in graded bundle {m}")
+        if m and min(m) < 0:
+            raise AssertionError(f"non-positive multiplicity {min(m)} in graded bundle")
+        return tuple.__new__(cls, (tuple(m),))
 
     @staticmethod
     def from_summands(pairs: Iterable[tuple[int, int]]) -> "GradedBundle":
+        """Add up (twist, multiplicity) pairs, refusing a positive twist."""
         pairs = list(pairs)
         twists = [t for t, _ in pairs]
         if max(twists, default=0) > 0:
@@ -116,9 +118,7 @@ class GradedBundle(namedtuple("GradedBundle", "m")):
             m[-twist] += mult
         while m and not m[-1]:
             m.pop()
-        if m and min(m) < 0:
-            raise AssertionError(f"non-positive multiplicity {min(m)} in graded bundle")
-        return tuple.__new__(GradedBundle, (tuple(m),))
+        return GradedBundle(m)
 
     @property
     def summands(self) -> tuple[tuple[int, int], ...]:
@@ -328,22 +328,19 @@ def higher_cohomology_vanishes(gb: GradedBundle, l: int, n: int) -> bool:
     return not gb.m or n - len(gb.m) + 1 >= -l  # the lowest twist is 1 - len(m)
 
 
-def step_failure(branch: Branch, top: int, start: int | None = None) -> int | None:
-    """First power s in start..top where power s plus its increment is not
-    power s+1, else None; `start` defaults to the branch's lowest tabulated
-    power.  Power s+1 is power s plus the block of s+1, so the step holds
-    exactly when the increment of s equals the block of s+1.  The table
-    writes both merged and in descending twist order, so they are compared
-    as lists: one increment and one block per power."""
+def step_failure(branch: Branch, top: int) -> int | None:
+    """First power s from the branch's lowest tabulated power up to top where
+    power s plus its increment is not power s+1, else None.  Power s+1 is
+    power s plus the block of s+1, so the step holds exactly when the
+    increment of s equals the block of s+1.  The table writes both merged and
+    in descending twist order, so they are compared as lists: one increment
+    and one block per power."""
     entry = _SPLITTINGS.get(branch)
     if entry is None:
         raise UnsupportedBranchError(
             f"no tabulated splitting for branch {branch.value}: no step to check"
         )
-    start = entry.base if start is None else start
-    if start < entry.base:
-        raise ValueError(f"the step check on {branch.value} needs r >= {entry.base}, got {start}")
-    steps = range(start, top + 1)
+    steps = range(entry.base, top + 1)
     return next((s for s in steps if entry.increment(s) != entry.block(s + 1)), None)
 
 

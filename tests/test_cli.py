@@ -158,13 +158,21 @@ def test_cohom_command(capsys):
 
 
 def test_exit_code_2_on_parse_errors(capsys):
-    code, _, err = run_cli(capsys, "genus", "--surface", "q3", "--class", "H")
-    assert code == 2
+    code, out, err = run_cli(capsys, "genus", "--surface", "q3", "--class", "H")
+    assert (code, out, err) == (2, "", "error: unknown surface 'q3' (expected p2, f<e> or f<e>b)\n")
+    code, out, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "")
+    assert (code, out, err) == (2, "", "error: empty divisor-class string\n")
     code, _, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3G")
     assert code == 2
     assert "basis" in err
     code, out, err = run_cli(capsys, "genus", "--surface", "p2", "--class", "3H+")
     assert (code, out, err) == (2, "", "error: cannot parse divisor class '3H+'\n")
+    # only the conditions check reads --ample, so a report without it refuses one
+    argv = ["report", "--surface", "f1", "--class", "2G+4F", "--r", "2", "--trunc", "1"]
+    code, out, err = run_cli(capsys, *argv, "--ample", "junk")
+    assert (code, out, err) == (2, "", "error: --ample applies only to --checks conditions\n")
+    code, out, err = run_cli(capsys, *argv, "--ample", "G+3F", "--checks", "zseries,conditions")
+    assert (code, err) == (1, "") and "  A1: FAIL (G+F)" in out
     # argparse-level usage errors also exit 2
     code = main(["zseries", "--surface", "p2"])
     assert code == 2

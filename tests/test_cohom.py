@@ -17,7 +17,6 @@ from ratsurf import (
     cohomology_table,
     divisor,
     euler_char,
-    h0_blowup,
     h0_class,
     hirzebruch,
     linear_system_dim,
@@ -160,27 +159,27 @@ def test_projective_space_serre_pairing():
 
 
 def test_projective_space_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        cohomology_projective_space(0, 3)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="^projective space dimension must be >= 1, got 0$"):
+            cohomology_projective_space(0, m)
 
 
 # --------------------------------------------------------------------- blowup
 
 
 def test_blowup_h0_examples():
+    def h0(e, a, b, c):  # h^0 of aG+bF-cE on the blowup of F_e
+        return h0_class(blowup_hirzebruch(e), divisor(a, b, -c))
+
     for e in (0, 1, 2):
-        assert h0_blowup(e, 0, 2, 1) == 2  # pencil of fibers through the point
-    assert h0_blowup(1, 1, 0, 0) == 1
-    assert h0_blowup(0, 1, 1, 1) == 3
-    assert h0_blowup(0, 2, 0, 1) == 2
-    assert h0_blowup(1, 2, 0, 1) == 0  # the doubled rigid section misses a generic point
+        assert h0(e, 0, 2, 1) == 2  # pencil of fibers through the point
+    assert h0(1, 1, 0, 0) == 1
+    assert h0(0, 1, 1, 1) == 3
+    assert h0(0, 2, 0, 1) == 2
+    assert h0(1, 2, 0, 1) == 0  # the doubled rigid section misses a generic point
 
 
 def test_blowup_rejects_higher_multiplicity():
-    with pytest.raises(ScopeError):
-        h0_blowup(0, 3, 3, 2)
-    from ratsurf import blowup_hirzebruch, h0_class
-
     with pytest.raises(ScopeError):
         h0_class(blowup_hirzebruch(0), divisor(3, 3, -2))
     with pytest.raises(ScopeError):

@@ -29,7 +29,6 @@ from ratsurf import (
     h0_class,
     hirzebruch,
     intersect,
-    is_effective,
     is_very_ample,
     linear_system_dim,
     projective_plane,
@@ -45,22 +44,25 @@ F1 = hirzebruch(1)
 
 
 def test_is_effective_examples():
-    assert is_effective(F1, divisor(1, 0))
-    assert not is_effective(P2, divisor(-1))
-    assert not is_effective(F0, divisor(2, -1))
-    assert is_effective(P2, divisor(0))  # the zero class has a section
-    assert is_effective(blowup_hirzebruch(0), divisor(1, 1, -1))
-    assert not is_effective(blowup_hirzebruch(1), divisor(2, 0, -1))
+    assert h0_class(F1, divisor(1, 0)) > 0
+    assert h0_class(P2, divisor(-1)) == 0
+    assert h0_class(F0, divisor(2, -1)) == 0
+    assert h0_class(P2, divisor(0)) > 0  # the zero class has a section
+    assert h0_class(blowup_hirzebruch(0), divisor(1, 1, -1)) > 0
+    assert h0_class(blowup_hirzebruch(1), divisor(2, 0, -1)) == 0
 
 
 def test_is_effective_agrees_with_section_count():
+    # the box filter's coordinate rule says a class is effective exactly when h^0 > 0
     for d in range(-6, 7):
-        assert is_effective(P2, divisor(d)) == (h0_class(P2, divisor(d)) > 0)
+        got = KIND_RULES[P2.kind].effective_or_zero(0, (d,))
+        assert got == (h0_class(P2, divisor(d)) > 0)
     for e in (0, 1, 2, 3):
         surface = hirzebruch(e)
+        rule = KIND_RULES[surface.kind].effective_or_zero
         for a in range(-4, 5):
             for b in range(-4, 5):
-                got = is_effective(surface, divisor(a, b))
+                got = rule(e, (a, b))
                 assert got == (h0_class(surface, divisor(a, b)) > 0)
 
 
@@ -128,9 +130,9 @@ def test_every_kind_rule_matches_its_oracle():
         d = divisor(*c)
         h0 = _outcome(h0_oracle, surface, c)
         assert _outcome(h0_class, surface, d) == h0, (surface, d)
-        effective = h0 if isinstance(h0, tuple) else h0 > 0
-        assert _outcome(is_effective, surface, d) == effective, (surface, d)
         rules = KIND_RULES[surface.kind]
+        effective = not isinstance(h0, tuple) and h0 > 0  # a refused class counts as not
+        assert rules.effective_or_zero(surface.e, c) == effective, (surface, d)
         if not isinstance(h0, tuple) and h0 > 0:  # the only classes check_a3 reaches
             marker = len(c) == 1 or c[1] >= c[0] * surface.e
             assert rules.base_point_free(surface.e, c) == marker, (surface, d)
@@ -204,10 +206,10 @@ def _effective_in_scope(surface, d):
 
 def _is_effective_or_raises(surface, L):
     """Whether L is effective; checks that a class the enumerator refuses is
-    refused with the same error as `is_effective` (ValueError if not
+    refused with the same error as `h0_class` (ValueError if not
     effective, ScopeError if outside the verified blowup scope)."""
     try:
-        effective = is_effective(surface, L)
+        effective = h0_class(surface, L) > 0
     except ScopeError:
         with pytest.raises(ScopeError):
             enumerate_effective_below(surface, L)
@@ -224,8 +226,8 @@ def test_enumerate_effective_below_is_sorted_and_consistent():
         assert below == sorted(below, key=lambda d: d.coeffs)
         for d in below:
             assert not d.is_zero
-            assert is_effective(surface, d)
-            assert is_effective(surface, L - d)
+            assert h0_class(surface, d) > 0
+            assert h0_class(surface, L - d) > 0
     # brute-force oracle: every nonzero D in a box one step wider than L with
     # D and L-D effective, on a small grid of every kind
     grids = [(P2, [range(-2, 6)])]
@@ -363,7 +365,7 @@ def test_blowup_decompositions_against_brute_force():
         surface = blowup_hirzebruch(e)
         for a, b, c in itertools.product(range(4), range(5), (0, 1)):
             L = divisor(a, b, -c)
-            if L.is_zero or not is_effective(surface, L):
+            if L.is_zero or h0_class(surface, L) == 0:
                 continue
             decs = enumerate_decompositions(surface, L)
             got = {tuple(p.coeffs for p in dec.parts) for dec in decs}
@@ -494,7 +496,7 @@ def test_a2_subcheck_equivalence_with_brute_force():
         for d1 in below:
             for d2 in below:
                 gap = d1 - d2
-                if all(c >= 0 for c in gap.coeffs) and is_effective(surface, gap):
+                if all(c >= 0 for c in gap.coeffs) and h0_class(surface, gap) > 0:
                     if genus[d1.coeffs] <= 0 < genus[d2.coeffs]:
                         oracle_i = False
         # oracle (ii): the dimension inequality over every decomposition

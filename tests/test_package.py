@@ -30,18 +30,17 @@ PUBLIC_NAMES = [
     "cohomology_projective_space", "cohomology_table", "default_very_ample", "describe",
     "divisor", "enumerate_decompositions", "enumerate_effective_below", "euler_char",
     "euler_char_lambda", "euler_pairing", "expand_rational_gf", "format_divisor",
-    "format_polynomial", "gf_coefficient", "h0_blowup", "h0_class", "h0_lambda",
-    "higher_cohomology_vanishes", "hirzebruch", "intersect", "is_effective", "is_very_ample",
+    "format_polynomial", "gf_coefficient", "h0_class", "h0_lambda",
+    "higher_cohomology_vanishes", "hirzebruch", "intersect", "is_very_ample",
     "linear_system_dim", "moduli_dimension", "parse_divisor", "polynomial", "projective_plane",
-    "refuse_over_cap", "refuse_zero_class", "step_failure", "surface_from_name",
-    "theta_context", "theta_splitting", "verify_genus2_cohomology", "z_from_decomposition",
-    "zero_class",
+    "refuse_zero_class", "step_failure", "surface_from_name", "theta_context",
+    "theta_splitting", "verify_genus2_cohomology", "z_from_decomposition",
 ]
 
 
 def test_public_surface_is_pinned():
     # a name added to or removed from the surface shows up in this list's diff
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 62
     assert ratsurf.__all__ == PUBLIC_NAMES
 
 
@@ -94,7 +93,10 @@ except AttributeError as exc:
 
 def test_no_module_imports_a_name_it_does_not_use():
     # every name an import binds, at module level or inside a function, is
-    # read as a Name somewhere in the same module
+    # read as a Name somewhere in the same module; and every private
+    # module-level function, class or assignment is read somewhere in the
+    # package, as a Name or as an attribute
+    private, read = set(), set()
     for path in sorted(Path(ratsurf.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -106,3 +108,17 @@ def test_no_module_imports_a_name_it_does_not_use():
             for alias in node.names
         }
         assert imported <= used, (path.name, sorted(imported - used))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            private |= {(path.name, n) for n in names if n[:1] == "_" and n[:2] != "__"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert private, "no private module-level name was found"
+    assert not sorted((f, n) for f, n in private if n not in read)

@@ -20,7 +20,6 @@ from ratsurf import (
     parse_divisor,
     projective_plane,
     surface_from_name,
-    zero_class,
 )
 
 P2 = projective_plane()
@@ -219,7 +218,7 @@ def test_pairing_orthogonality_of_point_classes():
         u = SheafClass(0, L, 0)
         for r in range(1, 11):
             for n in range(11):
-                c = SheafClass(r, zero_class(surface), r - n)
+                c = SheafClass(r, parse_divisor(surface, "0"), r - n)
                 assert euler_pairing(surface, u, c) == 0
 
 
@@ -228,11 +227,12 @@ def test_pairing_examples():
     c = SheafClass(1, divisor(1), 0)
     assert euler_pairing(P2, u, c) == 3
     u5 = SheafClass(0, divisor(2, 3), 5)
-    assert euler_pairing(F0, u5, SheafClass(2, zero_class(F0), 0)) == 10
+    assert euler_pairing(F0, u5, SheafClass(2, divisor(0, 0), 0)) == 10
 
 
 def test_pairing_rejects_positive_rank_first_argument():
-    with pytest.raises(ClassParseError):
+    message = "^Euler pairing implemented only for rank-zero first argument, got rank 1$"
+    with pytest.raises(ClassParseError, match=message):
         euler_pairing(P2, SheafClass(1, divisor(1), 0), SheafClass(1, divisor(1), 0))
 
 

@@ -99,9 +99,9 @@ def _cases():
             "trunc",
         ),
         (
-            GradedBundle(((0, 1), (-2, 3))),
-            GradedBundle(summands=((0, 1), (-2, 3))),
-            GradedBundle(((0, 1),)),
+            GradedBundle.from_summands(((0, 1), (-2, 3))),
+            GradedBundle(m=(1, 0, 3)),
+            GradedBundle((1,)),
             "GradedBundle(m=(1, 0, 3))",
             ((1, 0, 3),),
             "m",
@@ -140,6 +140,16 @@ def test_records_refuse_bad_fields_with_their_own_errors():
             "Polynomial coefficients carry a trailing zero; use polynomial()",
         ),
         (lambda: SeriesCoefficients(2, (1, 2)), AssertionError, "expected 3 coefficients, got 2"),
+        (
+            lambda: GradedBundle((1, 0)),
+            AssertionError,
+            "trailing zero multiplicity in graded bundle (1, 0)",
+        ),
+        (
+            lambda: GradedBundle((1, -1)),
+            AssertionError,
+            "non-positive multiplicity -1 in graded bundle",
+        ),
         (lambda: SeriesCoefficients(-1, ()), ValueError, "truncation order must be >= 0, got -1"),
         (
             lambda: CohomologyTable(-1, 0, 0, -1),
