@@ -23,20 +23,24 @@ Two report checks state facts and cannot fail: `dualizing-twist` always
 passes with the twist L.K, and `nonnegative-coefficients` reads running sums
 of the splitting's multiplicities, which are never negative.
 
-The parser is built once per process and reused by every `main` call, so a
-caller running many commands in one process pays for it once.  A subcommand
-imports the modules it uses when it runs: genus and conditions load cohom and
-conditions, cohom loads cohom, and report and zseries add theta and powerseries
-once their options pass; json loads only for `--format json`.
+A plain command line (a subcommand, then each of its options at most once,
+named in full) is parsed without argparse, from the same `_DISPATCH` table.
+argparse is imported and its parser built once per process, on the first
+`--help` or malformed command line, and it prints every usage line and
+error.  A subcommand imports the modules it uses when it runs: genus and
+conditions load cohom and conditions, cohom loads cohom, and report and
+zseries add theta and powerseries once their options pass (a report's
+conditions check refuses the zero class and a bad --ample before that);
+json loads only for `--format json`.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ClassParseError, EnumerationCapError, UnsupportedBranchError
 from .picard import (
@@ -50,6 +54,9 @@ from .picard import (
     surface_from_name,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 DEFAULT_TRUNC_CAP = 200  # bounds each series column to trunc+1 entries; not their cost in dim|L|
 DEFAULT_R_CAP = 1000  # bounds the splitting (up to r+2 twists, rank r^2) and the step walk
 DEFAULT_CHECKS = ("zseries", "invariants")
@@ -59,10 +66,30 @@ _DETAIL_DISPLAY_LIMIT = 50
 _STEP_CHECKS = {"GenusOne": "sequence-additivity", "GenusTwo": "recursion"}
 
 
+_FORMATS = ("text", "json")
+_SERIES_FORMATS = ("text", "json", "csv")
+
+
+def _common(formats: tuple[str, ...]) -> tuple:
+    """The options every subcommand takes, as `_DISPATCH` lists them."""
+    return (
+        ("--surface", {"required": True, "help": "p2, f<e>, or f<e>b (blown-up F_e)"}),
+        ("--class", {
+            "dest": "divisor_text",
+            "required": True,
+            "help": "divisor class, e.g. 3H, 2G+4F, 2F-E (write --class=-2H for a leading minus)",
+        }),
+        ("--format", {"choices": formats, "default": "text"}),
+    )
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later one:
-    parsing keeps no state in it, so one process builds it once."""
+    """The argparse parser of `_DISPATCH`, built on the first call and shared
+    by every later one: parsing keeps no state in it, so one process builds
+    it once.  `main` needs it only for --help and malformed command lines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ratsurf",
         description=(
@@ -71,44 +98,54 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, fmt_choices=("text", "json")) -> None:
-        p.add_argument("--surface", required=True, help="p2, f<e>, or f<e>b (blown-up F_e)")
-        p.add_argument(
-            "--class",
-            dest="divisor_text",
-            required=True,
-            help="divisor class, e.g. 3H, 2G+4F, 2F-E (write --class=-2H for a leading minus)",
-        )
-        p.add_argument("--format", choices=fmt_choices, default="text")
-
-    p_genus = sub.add_parser("genus", help="genus, dimensions and branch of a class")
-    add_common(p_genus)
-
-    p_cohom = sub.add_parser("cohom", help="cohomology table of a line bundle")
-    add_common(p_cohom)
-
-    p_cond = sub.add_parser("conditions", help="run the linear-system conditions A1-A3")
-    add_common(p_cond)
-    p_cond.add_argument("--ample", help="very ample class for A1 (default H or G+(e+1)F)")
-
-    p_z = sub.add_parser("zseries", help="section-count series of theta-power twists")
-    add_common(p_z, fmt_choices=("text", "json", "csv"))
-    p_z.add_argument("--r", type=int, default=1, help="theta power (default 1)")
-    p_z.add_argument("--trunc", type=int, default=10, help="truncation order (default 10)")
-    p_z.set_defaults(checks="zseries", ample=None)
-
-    p_rep = sub.add_parser("report", help="full verification report")
-    add_common(p_rep, fmt_choices=("text", "json", "csv"))
-    p_rep.add_argument("--r", type=int, default=1)
-    p_rep.add_argument("--trunc", type=int, default=10)
-    p_rep.add_argument("--ample", help="very ample class for the conditions check")
-    p_rep.add_argument(
-        "--checks",
-        default=",".join(DEFAULT_CHECKS),
-        help=f"comma-separated subset of {{{','.join(ALL_CHECKS)}}}",
-    )
+    for name, (_, help_line, options, defaults) in _DISPATCH.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
     return parser
+
+
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` builds, read from
+    `_DISPATCH` without argparse, for a plain command line: a subcommand, then
+    each option at most once, named in full, as `--flag=value` or as `--flag
+    value` with a value that does not start with '-', every required option
+    given and every value a valid choice or int.  None for any other argv,
+    which argparse then reads: it prints --help, every usage line and every
+    error."""
+    if not argv or argv[0] not in _DISPATCH:
+        return None
+    _, _, options, defaults = _DISPATCH[argv[0]]
+    known = {flag for flag, _ in options}
+    given: dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag not in known or flag in given:
+            return None
+        if not equals:
+            value = next(tokens, "-")  # a flag with no value left falls back too
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops a '--' value
+            return None
+        given[flag] = value
+    namespace = {"command": argv[0], **defaults}
+    for flag, keywords in options:
+        if flag in given:
+            try:
+                value = keywords.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        namespace[keywords.get("dest", flag[2:])] = value
+    return SimpleNamespace(**namespace)
 
 
 def _parse_context(args) -> tuple[Surface, DivisorClass]:
@@ -212,18 +249,28 @@ def _cmd_cohom(args) -> int:
     return 0
 
 
-def _condition_reports(surface: Surface, divisor: DivisorClass, ample_text: str | None):
-    from .conditions import check_a1, check_a2, check_a3, default_very_ample
+def _given_ample(surface: Surface, divisor: DivisorClass, ample_text: str | None):
+    """The conditions check's refusals that come before any work, in order:
+    the zero class (exit 3), then an --ample that does not parse or is not
+    very ample (exit 2).  The parsed --ample, or None when none is given."""
     from .conditions import is_very_ample, refuse_zero_class
 
     refuse_zero_class(divisor)  # before --ample is read
-    if ample_text is not None:
-        ample = parse_divisor(surface, ample_text)
-        if not is_very_ample(surface, ample):
-            raise ClassParseError(
-                f"--ample {format_divisor(surface, ample)} is not very ample on {surface.name}"
-            )
-    else:
+    if ample_text is None:
+        return None
+    ample = parse_divisor(surface, ample_text)
+    if not is_very_ample(surface, ample):
+        raise ClassParseError(
+            f"--ample {format_divisor(surface, ample)} is not very ample on {surface.name}"
+        )
+    return ample
+
+
+def _condition_reports(surface: Surface, divisor: DivisorClass, ample: DivisorClass | None):
+    """A1-A3 of a class `_given_ample` has let through, and the very ample class A1 used."""
+    from .conditions import check_a1, check_a2, check_a3, default_very_ample
+
+    if ample is None:
         ample = default_very_ample(surface)
     # a blowup is refused by now; A2 runs first because it refuses a class
     # that is not effective, then one over the cap, before A1 walks the box
@@ -245,7 +292,8 @@ def _condition_entry(surface: Surface, rep: ConditionReport) -> dict:
 
 def _cmd_conditions(args) -> int:
     surface, divisor = _parse_context(args)
-    reports, ample = _condition_reports(surface, divisor, args.ample)
+    ample = _given_ample(surface, divisor, args.ample)
+    reports, ample = _condition_reports(surface, divisor, ample)
     payload = {
         "context": {
             "surface": surface.name,
@@ -281,11 +329,11 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     return names
 
 
-def _check_conditions(series: ThetaSeries, ample_text: str | None):
-    yield from _condition_reports(series.ctx.surface, series.ctx.L, ample_text)[0]
+def _check_conditions(series: ThetaSeries, ample: DivisorClass | None):
+    yield from _condition_reports(series.ctx.surface, series.ctx.L, ample)[0]
 
 
-def _check_zseries(series: ThetaSeries, ample_text: str | None):
+def _check_zseries(series: ThetaSeries, ample: DivisorClass | None):
     failures = (
         f"n={n}: closed form {h0} != summand count {summed}"
         for n, (h0, summed) in enumerate(zip(series.h0.coeffs, series.summed.coeffs))
@@ -294,7 +342,7 @@ def _check_zseries(series: ThetaSeries, ample_text: str | None):
     yield _entry("series-consistency", next(failures, None))
 
 
-def _check_invariants(series: ThetaSeries, ample_text: str | None):
+def _check_invariants(series: ThetaSeries, ample: DivisorClass | None):
     from .conditions import Branch
     from .theta import step_failure
 
@@ -315,7 +363,7 @@ def _check_invariants(series: ThetaSeries, ample_text: str | None):
     ))
 
 
-def _check_g2cohom(series: ThetaSeries, ample_text: str | None):
+def _check_g2cohom(series: ThetaSeries, ample: DivisorClass | None):
     from .conditions import Branch
     from .theta import verify_genus2_cohomology
 
@@ -334,7 +382,7 @@ def _check_g2cohom(series: ThetaSeries, ample_text: str | None):
     )
 
 
-def _check_dualizing(series: ThetaSeries, ample_text: str | None):
+def _check_dualizing(series: ThetaSeries, ample: DivisorClass | None):
     # the pullback of O(1) is trivial on each fiber of the support map, so the
     # dualizing sheaf of each fiber is trivial whatever the twist L.K
     twist = intersect(series.ctx.surface, series.ctx.L, series.ctx.surface.canonical)
@@ -343,7 +391,7 @@ def _check_dualizing(series: ThetaSeries, ample_text: str | None):
 
 
 #: The report checks by name, in the order `--checks` lists them.  Each is a
-#: generator over the series and the --ample text: it yields its entries, and
+#: generator over the series and the parsed --ample: it yields its entries, and
 #: A1-A3 as condition reports, whose details the text view prints too.
 _CHECKS = {
     "conditions": _check_conditions,
@@ -355,14 +403,14 @@ _CHECKS = {
 ALL_CHECKS = tuple(_CHECKS)
 
 
-def _run_checks(series: ThetaSeries, checks: tuple[str, ...], ample_text: str | None):
+def _run_checks(series: ThetaSeries, checks: tuple[str, ...], ample: DivisorClass | None):
     """Run the checks in order; each reads the columns it needs from `series`."""
     from .conditions import ConditionReport
 
     entries: list[dict] = []
     condition_reports: list[ConditionReport] = []
     for check in checks:
-        for item in _CHECKS[check](series, ample_text):
+        for item in _CHECKS[check](series, ample):
             if isinstance(item, ConditionReport):
                 condition_reports.append(item)
                 item = _condition_entry(series.ctx.surface, item)
@@ -425,10 +473,11 @@ def _cmd_report(args) -> int:
     checks = _parse_checks(args.checks)
     if args.ample is not None and "conditions" not in checks:
         raise ClassParseError("--ample applies only to --checks conditions")
+    ample = _given_ample(surface, divisor, args.ample) if "conditions" in checks else None
     from .theta import ThetaSeries, theta_context  # past the exit-2 refusals
 
     series = ThetaSeries(theta_context(surface, divisor), r, trunc)
-    entries, reports = _run_checks(series, checks, args.ample)
+    entries, reports = _run_checks(series, checks, ample)
     payload = _report_payload(series, entries)
     if args.format == "csv":
         print("n,h0,chi")
@@ -438,23 +487,60 @@ def _cmd_report(args) -> int:
     return 0 if all(entry["pass"] for entry in entries) else 1
 
 
+#: Each subcommand: its handler, its help line, its options in help order as
+#: (flag, `add_argument` keywords), and the values it sets with no option.
+#: `build_parser` and `_parse_plain` both read it.
 _DISPATCH = {
-    "genus": _cmd_genus,
-    "cohom": _cmd_cohom,
-    "conditions": _cmd_conditions,
-    "zseries": _cmd_report,
-    "report": _cmd_report,
+    "genus": (_cmd_genus, "genus, dimensions and branch of a class", _common(_FORMATS), {}),
+    "cohom": (_cmd_cohom, "cohomology table of a line bundle", _common(_FORMATS), {}),
+    "conditions": (
+        _cmd_conditions,
+        "run the linear-system conditions A1-A3",
+        (
+            *_common(_FORMATS),
+            ("--ample", {"help": "very ample class for A1 (default H or G+(e+1)F)"}),
+        ),
+        {},
+    ),
+    "zseries": (
+        _cmd_report,
+        "section-count series of theta-power twists",
+        (
+            *_common(_SERIES_FORMATS),
+            ("--r", {"type": int, "default": 1, "help": "theta power (default 1)"}),
+            ("--trunc", {"type": int, "default": 10, "help": "truncation order (default 10)"}),
+        ),
+        {"checks": "zseries", "ample": None},
+    ),
+    "report": (
+        _cmd_report,
+        "full verification report",
+        (
+            *_common(_SERIES_FORMATS),
+            ("--r", {"type": int, "default": 1}),
+            ("--trunc", {"type": int, "default": 10}),
+            ("--ample", {"help": "very ample class for the conditions check"}),
+            ("--checks", {
+                "default": ",".join(DEFAULT_CHECKS),
+                "help": f"comma-separated subset of {{{','.join(ALL_CHECKS)}}}",
+            }),
+        ),
+        {},
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _DISPATCH[args.command](args)
+        return _DISPATCH[args.command][0](args)
     except EnumerationCapError as exc:
         code, message = 4, str(exc)
     except UnsupportedBranchError as exc:

@@ -143,11 +143,14 @@ class ConditionReport(namedtuple("ConditionReport", "condition passed witness de
 
 
 def enumerate_effective_below(surface: Surface, L: DivisorClass) -> list[DivisorClass]:
-    """All classes D with 0 < D <= L (both D and L-D effective), sorted.
+    """The classes D with 0 < D <= L in the box between 0 and L whose D and
+    L-D the kind's effective-or-zero rule accepts, sorted.
 
-    Every such D lies in the box between 0 and L, walked in sorted order, and
-    the kind's effective-or-zero rule tests D and L-D (on the plane and on
-    F_e every box class passes)."""
+    The box is walked in sorted order.  On the plane and on F_e every box
+    class passes, and these are all D with D and L-D effective.  On a blowup
+    they are a subset: an effective D below L can have an E coefficient
+    outside the box, and the rule accepts E multiplicity 0 or 1 only, so
+    `f1b G+2F` lists 5 classes where the toric count finds 17."""
     linear_system_dim(surface, L)  # refuses a non-effective L
     rule, e = KIND_RULES[surface.kind].effective_or_zero, surface.e
     spans = [range(min(c, 0), max(c, 0) + 1) for c in L.coeffs]

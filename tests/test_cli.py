@@ -1,8 +1,11 @@
 """CLI behavior: formats, determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -278,6 +281,24 @@ def test_exit_code_3_on_zero_class_conditions(capsys):
         assert err.startswith("error: dim|L| = 0: conditions A1-A3 need a nonzero class")
 
 
+def test_report_refuses_the_conditions_inputs_before_any_check(capsys):
+    # the zero class, then a bad --ample, are refused as `conditions` refuses
+    # them, before the series is built and whatever check --checks lists first
+    for argv, code, message in [
+        (["f1", "G", "zseries,conditions", "junk"], 2,
+         "generator 'j' is not in the F1 basis ('G', 'F')"),
+        (["f1", "-G", "conditions", "G"], 2, "--ample G is not very ample on F1"),
+        (["p2", "0", "g2cohom,conditions", "junk"], 3,
+         "dim|L| = 0: conditions A1-A3 need a nonzero class"),
+        (["f0b", "2G+3F-E", "zseries,conditions", "G+2F"], 3,
+         "very-ampleness on blowups is outside the verified scope"),
+    ]:
+        surface, cls, checks, ample = argv
+        result = run_cli(capsys, "report", "--surface", surface, f"--class={cls}",
+                         "--checks", checks, "--ample", ample)
+        assert result == (code, "", f"error: {message}\n"), argv
+
+
 def test_exit_code_2_on_r_cap(capsys, monkeypatch):
     monkeypatch.delenv("RATSURF_MAX_R", raising=False)
     cap = ratsurf.cli.DEFAULT_R_CAP
@@ -374,6 +395,99 @@ def test_checks_run_in_the_order_given_with_repeats(capsys, monkeypatch):
     assert "{conditions,zseries,invariants,g2cohom,dualizing}" in out
 
 
+_COMMON_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --surface SURFACE     p2, f<e>, or f<e>b (blown-up F_e)
+  --class DIVISOR_TEXT  divisor class, e.g. 3H, 2G+4F, 2F-E (write --class=-2H
+                        for a leading minus)
+"""
+_REPORT_USAGE = """\
+usage: ratsurf report [-h] --surface SURFACE --class DIVISOR_TEXT
+                      [--format {text,json,csv}] [--r R] [--trunc TRUNC]
+                      [--ample AMPLE] [--checks CHECKS]
+"""
+#: stdout of `--help` at COLUMNS=80, byte for byte, for the top parser and each subcommand
+HELP_TEXT = {
+    (): """\
+usage: ratsurf [-h] {genus,cohom,conditions,zseries,report} ...
+
+Exact intersection theory, line-bundle cohomology, linear-system conditions
+and section-count series on rational surfaces.
+
+positional arguments:
+  {genus,cohom,conditions,zseries,report}
+    genus               genus, dimensions and branch of a class
+    cohom               cohomology table of a line bundle
+    conditions          run the linear-system conditions A1-A3
+    zseries             section-count series of theta-power twists
+    report              full verification report
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("genus",): """\
+usage: ratsurf genus [-h] --surface SURFACE --class DIVISOR_TEXT
+                     [--format {text,json}]
+
+""" + _COMMON_OPTIONS + """\
+  --format {text,json}
+""",
+    ("cohom",): """\
+usage: ratsurf cohom [-h] --surface SURFACE --class DIVISOR_TEXT
+                     [--format {text,json}]
+
+""" + _COMMON_OPTIONS + """\
+  --format {text,json}
+""",
+    ("conditions",): """\
+usage: ratsurf conditions [-h] --surface SURFACE --class DIVISOR_TEXT
+                          [--format {text,json}] [--ample AMPLE]
+
+""" + _COMMON_OPTIONS + """\
+  --format {text,json}
+  --ample AMPLE         very ample class for A1 (default H or G+(e+1)F)
+""",
+    ("zseries",): """\
+usage: ratsurf zseries [-h] --surface SURFACE --class DIVISOR_TEXT
+                       [--format {text,json,csv}] [--r R] [--trunc TRUNC]
+
+""" + _COMMON_OPTIONS + """\
+  --format {text,json,csv}
+  --r R                 theta power (default 1)
+  --trunc TRUNC         truncation order (default 10)
+""",
+    ("report",): _REPORT_USAGE + "\n" + _COMMON_OPTIONS + """\
+  --format {text,json,csv}
+  --r R
+  --trunc TRUNC
+  --ample AMPLE         very ample class for the conditions check
+  --checks CHECKS       comma-separated subset of
+                        {conditions,zseries,invariants,g2cohom,dualizing}
+""",
+}
+#: the whole stderr of two usage errors at COLUMNS=80
+USAGE_ERRORS = {
+    ("frobnicate", "--surface", "p2", "--class", "3H"): (
+        "usage: ratsurf [-h] {genus,cohom,conditions,zseries,report} ...\n"
+        "ratsurf: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'genus', 'cohom', 'conditions', 'zseries', 'report')\n"
+    ),
+    ("report", "--surface", "f1", "--class", "2G+4F", "--format", "xml"): _REPORT_USAGE + (
+        "ratsurf report: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'text', 'json', 'csv')\n"
+    ),
+}
+
+
+def test_help_and_usage_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in HELP_TEXT.items():
+        assert run_cli(capsys, *command, "--help") == (0, text, ""), command
+    for argv, text in USAGE_ERRORS.items():
+        assert run_cli(capsys, *argv) == (2, "", text), argv
+
+
 def test_exit_code_4_on_decomposition_cap(capsys):
     code, _, err = run_cli(
         capsys, "conditions", "--surface", "p2", "--class", "25H"
@@ -455,19 +569,28 @@ def test_cli_module_entry_point():
 # Commands run in one process in order of growing need, each with its exit
 # code and the watched modules loaded once it has run.  Every command pays for
 # its process's imports: a subcommand loads only the modules it uses, and none
-# loads `dataclasses`, nor the `inspect` that `dataclasses` pulls in.
+# loads `dataclasses`, nor the `inspect` that `dataclasses` pulls in.  A plain
+# command line never loads `argparse` or the `gettext` it pulls in; only the
+# malformed one at the end does.  A report whose --ample is refused loads no
+# series module.
 STARTUP_STEPS = [
-    ("frobnicate", 2, []),
     ("cohom --surface f1 --class 2G+4F", 0, ["cohom"]),
     ("genus --surface p2 --class 3H", 0, ["cohom", "conditions"]),
     ("report --surface p2 --class 3H --r 0", 2, ["cohom", "conditions"]),
+    ("report --surface p2 --class 3H --checks conditions --ample junk", 2, ["cohom", "conditions"]),
+    ("report --surface f1 --class 2G+4F --checks conditions --ample G", 2, ["cohom", "conditions"]),
     ("conditions --surface f1 --class 2G+4F --format json", 0, ["cohom", "conditions", "json"]),
     ("report --surface p2 --class 3H", 0, ["cohom", "conditions", "json", "powerseries", "theta"]),
+    ("frobnicate", 2, [
+        "argparse", "cohom", "conditions", "gettext", "json", "powerseries", "theta",
+    ]),
 ]
 STARTUP_PROBE = """
 import contextlib, io, sys
 import ratsurf.cli
-watched = {"cohom", "conditions", "theta", "powerseries", "json", "dataclasses", "inspect"}
+watched = {"cohom", "conditions", "theta", "powerseries", "json", "dataclasses", "inspect",
+           "argparse", "gettext"}
+print("import", *sorted({name.removeprefix("ratsurf.") for name in sys.modules} & watched))
 for line in sys.stdin:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = ratsurf.cli.main(line.split())
@@ -485,7 +608,7 @@ def test_each_subcommand_loads_only_the_modules_it_uses():
     )
     assert proc.returncode == 0, proc.stderr
     expected = [" ".join([str(code), *loaded]) for _, code, loaded in STARTUP_STEPS]
-    assert proc.stdout.splitlines() == expected
+    assert proc.stdout.splitlines() == ["import", *expected]
 
 
 # one parse error, --help, zseries (its checks come from set_defaults), a
@@ -517,7 +640,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
-    # parsers constructed (the top parser and its subparsers) over N calls
+    # parsers constructed (the top parser and its subparsers): none over 20
+    # plain calls, then one build on the first --help, and none after it
     built = {"parsers": 0}
     init = argparse.ArgumentParser.__init__
 
@@ -528,13 +652,89 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     ratsurf.cli.build_parser.cache_clear()
     try:
-        ratsurf.cli.build_parser()
-        one_build = built["parsers"]
-        assert one_build == 1 + len(ratsurf.cli._DISPATCH)
-        ratsurf.cli.build_parser.cache_clear()
-        built["parsers"] = 0
         for _ in range(20):
             run_cli(capsys, *REUSE_OPS[2])
-        assert built["parsers"] == one_build
+        assert built["parsers"] == 0
+        for argv in (REUSE_OPS[1], REUSE_OPS[0], REUSE_OPS[1], REUSE_OPS[2]):
+            run_cli(capsys, *argv)
+        assert built["parsers"] == 1 + len(ratsurf.cli._DISPATCH)
     finally:
         ratsurf.cli.build_parser.cache_clear()
+
+
+def argparse_vars(argv):
+    """vars() of what argparse makes of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(ratsurf.cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# values for each option, good and bad: dash-leading, empty, '--', bad ints and choices
+PLAIN_VALUES = {
+    "--surface": ["p2", "f1b", "", "-p2", "a=b"],
+    "--class": ["3H", "2G+4F", "-3H", "", "--", "-"],
+    "--format": ["text", "json", "csv", "xml", "-json"],
+    "--ample": ["2H", "G+3F", "-H"],
+    "--r": ["2", "x", "-1", " 7", "+3", "1_0", "1.5"],
+    "--trunc": ["0", "5", "-1", "1e3"],
+    "--checks": ["zseries", "conditions,zseries", "", "-x"],
+}
+# tokens dropped in among the options: help, '--', unknown and stray ones
+PLAIN_EXTRAS = ["-h", "--help", "--", "--foo", "-x", "stray", "--surface", "--r=3"]
+
+
+def plain_argvs(rng, count):
+    """Command lines over every subcommand: full, `=` and space forms, in any
+    order, with repeated, abbreviated, unknown and missing flags mixed in."""
+    commands = list(ratsurf.cli._DISPATCH)
+    for _ in range(count):
+        command = rng.choice([*commands, "frobnicate"])
+        options = ratsurf.cli._DISPATCH.get(command, ratsurf.cli._DISPATCH["report"])[2]
+        flags = [flag for flag, keywords in options if rng.random() < (
+            0.95 if keywords.get("required") else 0.6
+        )]
+        rng.shuffle(flags)
+        if flags and rng.random() < 0.15:
+            flags.append(rng.choice(flags))  # repeated
+        argv = [command]
+        for flag in flags:
+            # the first two values of each option are good ones
+            values = PLAIN_VALUES[flag]
+            value = rng.choice(values[:2] if rng.random() < 0.8 else values)
+            if rng.random() < 0.1:
+                flag = flag[: rng.randrange(3, len(flag))] if len(flag) > 3 else flag + "x"
+            argv += [f"{flag}={value}"] if rng.random() < 0.3 else [flag, value]
+        if rng.random() < 0.15:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(PLAIN_EXTRAS))
+        if rng.random() < 0.05:
+            argv.pop()  # a flag left without its value
+        yield argv
+
+
+PLAIN_EDGES = [
+    [],
+    ["genus"],
+    ["--surface", "p2", "genus", "--class", "3H"],
+    ["genus", "--surface", "p2", "--class=", "--format=json"],
+    ["genus", "--surface", "p2", "--class=--"],
+    ["genus", "--surface", "p2", "--class", "3H", "--", "--format", "json"],
+    ["report", "--surface", "p2", "--class", "3H", "--r", "0003", "--trunc", "\u0663"],
+    ["zseries", "--surface", "p2", "--class", "3H", "--checks", "conditions"],
+    ["zseries", "--surface", "p2", "--class", "3H", "--ample", "2H"],
+    ["conditions", "--surface=p2", "--class=3H", "--ample=2H=H"],
+]
+
+
+def test_plain_parse_matches_argparse():
+    rng = random.Random(20261022)
+    argvs = [*PLAIN_EDGES, *plain_argvs(rng, 1000)]
+    plain = [ratsurf.cli._parse_plain(argv) for argv in argvs]
+    for argv, ns in zip(argvs, plain):
+        if ns is not None:
+            assert vars(ns) == argparse_vars(argv), argv
+    # argparse accepts a fair share of what plain refuses, and the reverse never happens
+    fallbacks = [argv for argv, ns in zip(argvs, plain) if ns is None]
+    assert sum(ns is not None for ns in plain) > 250
+    assert sum(argparse_vars(argv) is not None for argv in fallbacks) > 120

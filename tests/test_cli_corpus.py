@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import ratsurf.cli
 from ratsurf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +52,25 @@ def test_cli_pool_matches_reference():
     ]
     assert len(workloads.CLI_POOL) == 61
     assert not mismatches
+
+
+def test_pooled_argvs_take_the_plain_path():
+    # every pooled op and one theta-tower round but the two usage errors is
+    # parsed without argparse, into the namespace argparse builds
+    argvs = [*workloads.pooled_argvs(), *next(workloads.rounds("theta-tower", 1))]
+    fallbacks = []
+    with contextlib.redirect_stderr(io.StringIO()):
+        for argv in argvs:
+            plain = ratsurf.cli._parse_plain(argv)
+            if plain is None:
+                fallbacks.append(" ".join(argv))
+            else:
+                assert vars(plain) == vars(ratsurf.cli.build_parser().parse_args(argv)), argv
+    assert len(argvs) - len(fallbacks) == 357
+    assert fallbacks == [
+        "report --surface f1 --class 2G+4F --format xml",
+        "frobnicate --surface p2 --class 3H",
+    ]
 
 
 def test_small_conditions_pool_matches_reference():
